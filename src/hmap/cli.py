@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .fmap import ConstraintError, Dim, FreeMap, MapError, well_formed_violation
+from .fmap import ConstraintError, FreeMap, MapError, kernel_of, well_formed_violation
 from .index import build_index
 from .io import parse_map, parse_ring, serialize_map, to_dot
 from .jordan import fuzz_jordan, jordan_check, random_planar_map
@@ -26,18 +26,24 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise MapError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MapError(f"cannot read {path}: byte {exc.start} is not "
+                       f"valid UTF-8") from exc
 
 
 def _load_map(path: str) -> FreeMap:
     return parse_map(_read(path))
 
 
-def _load_checked_map(path: str) -> FreeMap:
+def _load_checked(path: str, build):
+    """The map in ``path`` and ``build`` of it, where ``build`` (the
+    index or the kernel) is the map's one checked replay; a map that is
+    not well formed is an error naming ``path``."""
     m = _load_map(path)
-    reason = well_formed_violation(m)
-    if reason is not None:
-        raise ConstraintError(f"{path}: map is not well formed: {reason}")
-    return m
+    try:
+        return m, build(m)
+    except MapError as exc:
+        raise ConstraintError(f"{path}: {exc}") from exc
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -127,7 +133,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 1
 
     if cmd == "stats":
-        st = build_index(_load_checked_map(args.map)).stats
+        st = _load_checked(args.map, build_index)[1].stats
         print(f"nd={st.n_darts}")
         print(f"ne={st.n_edges}")
         print(f"nv={st.n_vertices}")
@@ -139,31 +145,31 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if cmd == "orbit":
-        m = _load_checked_map(args.map)
-        orb = orbit(m, OrbitKind(args.kind), args.dart)
+        m, idx = _load_checked(args.map, build_index)
+        orb = orbit(m, OrbitKind(args.kind), args.dart, index=idx)
         print(" ".join(str(d) for d in orb.members))
         return 0
 
     if cmd == "planar":
-        st = build_index(_load_checked_map(args.map)).stats
+        st = _load_checked(args.map, build_index)[1].stats
         print(f"planar={_fmt_bool(st.planar)}")
         return 0 if st.planar else 1
 
     if cmd == "ring-check":
-        m = _load_checked_map(args.map)
-        diag = check_ring(m, parse_ring(_read(args.ring)))
+        m, idx = _load_checked(args.map, build_index)
+        diag = check_ring(m, parse_ring(_read(args.ring)), index=idx)
         print(diag.summary())
         return 0 if diag.valid else 1
 
     if cmd == "break":
-        m = _load_checked_map(args.map)
+        m, _ = _load_checked(args.map, kernel_of)
         broken = break_ring(m, parse_ring(_read(args.ring)))
         _write_out(serialize_map(broken), args.out)
         return 0
 
     if cmd == "jordan":
-        m = _load_checked_map(args.map)
-        outcome = jordan_check(m, parse_ring(_read(args.ring)))
+        m, idx = _load_checked(args.map, build_index)
+        outcome = jordan_check(m, parse_ring(_read(args.ring)), index=idx)
         print(outcome.summary())
         return 0 if outcome.passed else 1
 
@@ -179,8 +185,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if report.passed else 1
 
     if cmd == "dot":
-        m = _load_checked_map(args.map)
-        _write_out(to_dot(m), args.out)
+        m, idx = _load_checked(args.map, build_index)
+        _write_out(to_dot(m, index=idx), args.out)
         return 0
 
     raise MapError(f"unknown command {cmd!r}")

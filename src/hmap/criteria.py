@@ -21,10 +21,9 @@ from .fmap import (
     Dim,
     FreeMap,
     break_link,
-    link_violation,
     successor,
 )
-from .index import HypermapIndex, build_index, ensure_index
+from .index import HypermapIndex, build_index, ensure_index, require_well_formed
 
 
 def _require(condition: bool, message: str) -> None:
@@ -51,9 +50,7 @@ def planar_after_link(m: FreeMap, k: Dim, x: Dart, y: Dart, *,
     ``is_planar(link(m, k, x, y))``.
     """
     idx = ensure_index(m, index)
-    reason = link_violation(m, k, x, y)
-    if reason is not None:
-        raise ConstraintError(f"link {x}->{y} at dim {k.value}: {reason}")
+    idx.kernel.require_link(k, x, y)
     return _criterion(idx, k, x, y)
 
 
@@ -66,7 +63,7 @@ def planar_from_break(m: FreeMap, k: Dim, x: Dart, *,
     ``is_planar(m)``; the point of the indirection is that it needs only
     the broken map, which is how the ring induction looks at breaks.
     """
-    ensure_index(m, index)
+    require_well_formed(m, index)
     y = successor(m, k, x)
     _require(y != 0, f"dart {x} has no {k.value}-successor")
     m0 = break_link(m, k, x)

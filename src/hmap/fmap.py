@@ -24,7 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable
 
 Dart = int
 
@@ -245,114 +245,40 @@ def closed_face_predecessor(m: FreeMap, z: Dart) -> Dart:
 
 
 # ---------------------------------------------------------------------------
-# construction preconditions
-
-
-def insert_violation(m: FreeMap, x: Dart) -> str | None:
-    """Reason ``x`` cannot be inserted, or None when it can."""
-    if x == NIL:
-        return "dart id is the reserved nil value"
-    if x < 0:
-        return f"dart id {x} is negative"
-    if has_dart(m, x):
-        return f"dart {x} already exists"
-    return None
-
-
-def can_insert(m: FreeMap, x: Dart) -> bool:
-    return insert_violation(m, x) is None
-
-
-def link_violation(m: FreeMap, k: Dim, x: Dart, y: Dart) -> str | None:
-    """Reason ``x -> y`` cannot be linked at dimension ``k``, or None.
-
-    The closure conjunct (the closed successor of ``x`` must differ from
-    ``y``) is what keeps every orbit an open chain.
-    """
-    if not has_dart(m, x):
-        return f"dart {x} does not exist"
-    if not has_dart(m, y):
-        return f"dart {y} does not exist"
-    if has_successor(m, k, x):
-        return f"dart {x} already has a {k.value}-successor"
-    if has_predecessor(m, k, y):
-        return f"dart {y} already has a {k.value}-predecessor"
-    if closed_successor(m, k, x) == y:
-        return f"linking {x}->{y} would close the {k.value}-orbit"
-    return None
-
-
-def can_link(m: FreeMap, k: Dim, x: Dart, y: Dart) -> bool:
-    return link_violation(m, k, x, y) is None
-
-
-# ---------------------------------------------------------------------------
-# checked builders
-
-
-def insert_dart(m: FreeMap, x: Dart) -> FreeMap:
-    """Checked insertion. The base map is assumed well formed."""
-    reason = insert_violation(m, x)
-    if reason is not None:
-        raise ConstraintError(f"insert {x}: {reason}")
-    return Insert(m, x)
-
-
-def link(m: FreeMap, k: Dim, x: Dart, y: Dart) -> FreeMap:
-    """Checked linking. The base map is assumed well formed."""
-    reason = link_violation(m, k, x, y)
-    if reason is not None:
-        raise ConstraintError(f"link {x}->{y} at dim {k.value}: {reason}")
-    return Link(m, k, x, y)
-
-
-def make_map(darts: Iterable[Dart], links: Iterable[tuple[Dim, Dart, Dart]] = ()) -> FreeMap:
-    """Build a map through the checked API: all inserts, then all links."""
-    m: FreeMap = Void()
-    for d in darts:
-        m = insert_dart(m, d)
-    for k, x, y in links:
-        m = link(m, k, x, y)
-    return m
-
-
-# ---------------------------------------------------------------------------
-# well-formedness
+# the chain kernel: construction preconditions, replay, well-formedness
 
 class ChainTracker:
     """Union-find over the explicit links of one dimension.
 
-    Each disjoint set is one open chain; the set's endpoints are kept on
-    the root so closures are answered in near-constant time.  Links only
+    Each disjoint set is one open chain, and its root is the chain's
+    bottom: a link ``x -> y`` joins the top ``x`` of one chain to the
+    bottom ``y`` of another and hangs ``y``'s set under the root of
+    ``x``'s.  The top of a chain of two or more darts is kept on its
+    root, so closures are answered in near-constant time.  Links only
     ever merge chains, which is all checked construction needs.
     """
 
-    __slots__ = ("succ", "pred", "_parent", "_bottom", "_top")
+    __slots__ = ("succ", "pred", "_parent", "_top")
 
     def __init__(self) -> None:
         self.succ: dict[Dart, Dart] = {}
         self.pred: dict[Dart, Dart] = {}
         self._parent: dict[Dart, Dart] = {}
-        self._bottom: dict[Dart, Dart] = {}
         self._top: dict[Dart, Dart] = {}
 
     def add(self, x: Dart) -> None:
         self._parent[x] = x
-        self._bottom[x] = x
-        self._top[x] = x
-
-    def _find(self, x: Dart) -> Dart:
-        p = self._parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
 
     def bottom(self, z: Dart) -> Dart:
-        return self._bottom[self._find(z)]
+        p = self._parent
+        while p[z] != z:
+            p[z] = p[p[z]]
+            z = p[z]
+        return z
 
     def top(self, z: Dart) -> Dart:
-        return self._top[self._find(z)]
+        r = self.bottom(z)
+        return self._top.get(r, r)
 
     def closed_succ(self, z: Dart) -> Dart:
         s = self.succ.get(z, NIL)
@@ -365,50 +291,118 @@ class ChainTracker:
     def link(self, x: Dart, y: Dart) -> None:
         # caller guarantees: x has no successor, y no predecessor, and the
         # two chains are distinct (otherwise the link would close a cycle)
-        rx, ry = self._find(x), self._find(y)
+        rx, ry = self.bottom(x), self.bottom(y)
         if rx == ry:
             raise InternalInvariantError(f"link {x}->{y} would close a chain")
         self.succ[x] = y
         self.pred[y] = x
         self._parent[ry] = rx
-        self._top[rx] = self._top[ry]
+        self._top[rx] = self._top.pop(ry, ry)
+
+
+class ChainKernel:
+    """The dart set and the open chains of both dimensions.
+
+    This is the one statement of the construction preconditions and of
+    their messages.  Replaying a term through a kernel is the
+    well-formedness check and the first pass of every index;
+    :class:`hmap.stats.IncrementalMap` extends the kernel; the term-level
+    checks and checked builders ask the kernel of their base map.
+    """
+
+    __slots__ = ("darts", "chains")
+
+    def __init__(self) -> None:
+        self.darts: set[Dart] = set()
+        self.chains = (ChainTracker(), ChainTracker())
+
+    def insert_violation(self, x: Dart) -> str | None:
+        """Reason ``x`` cannot be inserted, or None when it can."""
+        if x == NIL:
+            return "dart id is the reserved nil value"
+        if x < 0:
+            return f"dart id {x} is negative"
+        if x in self.darts:
+            return f"duplicate insert, dart {x} already exists"
+        return None
+
+    def link_violation(self, k: Dim, x: Dart, y: Dart) -> str | None:
+        """Reason ``x -> y`` cannot be linked at dimension ``k``, or None.
+
+        The closure conjunct (the closed successor of ``x`` must differ from
+        ``y``) is what keeps every orbit an open chain.
+        """
+        if x not in self.darts:
+            return f"dart {x} does not exist"
+        if y not in self.darts:
+            return f"dart {y} does not exist"
+        c = self.chains[k.value]
+        if x in c.succ:
+            return f"dart {x} already has a {k.value}-successor"
+        if y in c.pred:
+            return f"dart {y} already has a {k.value}-predecessor"
+        if c.closed_succ(x) == y:
+            return f"linking {x}->{y} would close the {k.value}-orbit"
+        return None
+
+    def can_link(self, k: Dim, x: Dart, y: Dart) -> bool:
+        return self.link_violation(k, x, y) is None
+
+    def require_insert(self, x: Dart) -> None:
+        """Raise ConstraintError, naming the step, unless ``x`` can be inserted."""
+        reason = self.insert_violation(x)
+        if reason is not None:
+            raise ConstraintError(f"insert {x}: {reason}")
+
+    def require_link(self, k: Dim, x: Dart, y: Dart) -> None:
+        """Raise ConstraintError, naming the step, unless ``x -> y`` can be linked."""
+        reason = self.link_violation(k, x, y)
+        if reason is not None:
+            raise ConstraintError(f"link {x}->{y} at dim {k.value}: {reason}")
+
+    def add_dart(self, x: Dart) -> None:
+        """Insert ``x`` without checking its precondition."""
+        self.darts.add(x)
+        self.chains[0].add(x)
+        self.chains[1].add(x)
+
+
+def replay(m: FreeMap, *, check: bool = True) -> tuple[ChainKernel, str | None]:
+    """Replay the steps of ``m`` in construction order into a fresh kernel.
+
+    With ``check`` on, stops at the first step whose precondition fails
+    and returns the kernel built so far with that step's violation; the
+    whole check is linear in the term.  With ``check`` off the steps are
+    applied blindly, which is sound only on a term known to be well
+    formed, and the violation is always None.
+    """
+    kern = ChainKernel()
+    try:
+        for node in history(m):
+            if isinstance(node, Insert):
+                if check:
+                    kern.require_insert(node.x)
+                kern.add_dart(node.x)
+            else:
+                if check:
+                    kern.require_link(node.k, node.x, node.y)
+                kern.chains[node.k.value].link(node.x, node.y)
+    except ConstraintError as exc:
+        return kern, str(exc)
+    return kern, None
+
+
+def kernel_of(m: FreeMap) -> ChainKernel:
+    """The replayed kernel of ``m``; raises MapError when ``m`` is not well formed."""
+    kern, reason = replay(m)
+    if reason is not None:
+        raise MapError(f"map is not well formed: {reason}")
+    return kern
 
 
 def well_formed_violation(m: FreeMap) -> str | None:
-    """First construction step of ``m`` whose precondition fails, or None.
-
-    Replays the term in construction order, so the check is linear in the
-    term instead of quadratic like the naive prefix-by-prefix recursion.
-    """
-    darts: set[Dart] = set()
-    chains = (ChainTracker(), ChainTracker())
-    for node in history(m):
-        if isinstance(node, Insert):
-            x = node.x
-            if x == NIL:
-                return "insert of the reserved nil value"
-            if x < 0:
-                return f"insert of negative id {x}"
-            if x in darts:
-                return f"duplicate insert of dart {x}"
-            darts.add(x)
-            chains[0].add(x)
-            chains[1].add(x)
-        else:
-            k, x, y = node.k.value, node.x, node.y
-            c = chains[k]
-            if x not in darts:
-                return f"link {x}->{y} at dim {k}: dart {x} does not exist"
-            if y not in darts:
-                return f"link {x}->{y} at dim {k}: dart {y} does not exist"
-            if x in c.succ:
-                return f"link {x}->{y} at dim {k}: dart {x} already has a successor"
-            if y in c.pred:
-                return f"link {x}->{y} at dim {k}: dart {y} already has a predecessor"
-            if c.bottom(x) == y:
-                return f"link {x}->{y} at dim {k}: would close the orbit"
-            c.link(x, y)
-    return None
+    """First construction step of ``m`` whose precondition fails, or None."""
+    return replay(m)[1]
 
 
 def is_well_formed(m: FreeMap) -> bool:
@@ -417,40 +411,90 @@ def is_well_formed(m: FreeMap) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# term-level preconditions and checked builders
+
+
+def insert_violation(m: FreeMap, x: Dart) -> str | None:
+    """Reason ``x`` cannot be inserted into ``m``, or None when it can.
+
+    ``m`` must be well formed; MapError is raised otherwise.
+    """
+    return kernel_of(m).insert_violation(x)
+
+
+def can_insert(m: FreeMap, x: Dart) -> bool:
+    return insert_violation(m, x) is None
+
+
+def link_violation(m: FreeMap, k: Dim, x: Dart, y: Dart) -> str | None:
+    """Reason ``x -> y`` cannot be linked in ``m`` at dimension ``k``, or None.
+
+    ``m`` must be well formed; MapError is raised otherwise.
+    """
+    return kernel_of(m).link_violation(k, x, y)
+
+
+def can_link(m: FreeMap, k: Dim, x: Dart, y: Dart) -> bool:
+    return link_violation(m, k, x, y) is None
+
+
+def insert_dart(m: FreeMap, x: Dart) -> FreeMap:
+    """Checked insertion into the well-formed map ``m``."""
+    kernel_of(m).require_insert(x)
+    return Insert(m, x)
+
+
+def link(m: FreeMap, k: Dim, x: Dart, y: Dart) -> FreeMap:
+    """Checked linking in the well-formed map ``m``."""
+    kernel_of(m).require_link(k, x, y)
+    return Link(m, k, x, y)
+
+
+def make_map(darts: Iterable[Dart], links: Iterable[tuple[Dim, Dart, Dart]] = ()) -> FreeMap:
+    """Build a map from all inserts, then all links, checking every step
+    in one replay."""
+    m: FreeMap = Void()
+    for d in darts:
+        m = Insert(m, d)
+    for k, x, y in links:
+        m = Link(m, k, x, y)
+    reason = well_formed_violation(m)
+    if reason is not None:
+        raise ConstraintError(reason)
+    return m
+
+
+# ---------------------------------------------------------------------------
 # destructors
 
 
-def _rewrap(outer: list[Insert | Link], core: FreeMap) -> FreeMap:
-    for node in reversed(outer):
-        if isinstance(node, Insert):
-            core = Insert(core, node.x)
-        else:
-            core = Link(core, node.k, node.x, node.y)
-    return core
+def _remove_latest(m: FreeMap, matches: Callable[[Insert | Link], bool]) -> FreeMap:
+    """``m`` without its most recent step that ``matches``, the steps
+    after it rebuilt on top; unchanged if no step matches."""
+    outer: list[Insert | Link] = []
+    cur = m
+    while not isinstance(cur, Void):
+        if matches(cur):
+            core = cur.base
+            for node in reversed(outer):
+                if isinstance(node, Insert):
+                    core = Insert(core, node.x)
+                else:
+                    core = Link(core, node.k, node.x, node.y)
+            return core
+        outer.append(cur)  # type: ignore[arg-type]
+        cur = cur.base
+    return m
 
 
 def break_link(m: FreeMap, k: Dim, x: Dart) -> FreeMap:
     """Remove the most recent k-link out of ``x``; unchanged if none exists."""
-    outer: list[Insert | Link] = []
-    cur = m
-    while not isinstance(cur, Void):
-        if isinstance(cur, Link) and cur.k is k and cur.x == x:
-            return _rewrap(outer, cur.base)
-        outer.append(cur)  # type: ignore[arg-type]
-        cur = cur.base
-    return m
+    return _remove_latest(m, lambda n: isinstance(n, Link) and n.k is k and n.x == x)
 
 
 def break_link_back(m: FreeMap, k: Dim, y: Dart) -> FreeMap:
     """Remove the most recent k-link into ``y``; unchanged if none exists."""
-    outer: list[Insert | Link] = []
-    cur = m
-    while not isinstance(cur, Void):
-        if isinstance(cur, Link) and cur.k is k and cur.y == y:
-            return _rewrap(outer, cur.base)
-        outer.append(cur)  # type: ignore[arg-type]
-        cur = cur.base
-    return m
+    return _remove_latest(m, lambda n: isinstance(n, Link) and n.k is k and n.y == y)
 
 
 def delete_dart(m: FreeMap, x: Dart) -> FreeMap:
@@ -460,14 +504,7 @@ def delete_dart(m: FreeMap, x: Dart) -> FreeMap:
     dart yields a term that fails ``is_well_formed``.  ``remove_dart`` is
     the checked variant that refuses that.
     """
-    outer: list[Insert | Link] = []
-    cur = m
-    while not isinstance(cur, Void):
-        if isinstance(cur, Insert) and cur.x == x:
-            return _rewrap(outer, cur.base)
-        outer.append(cur)  # type: ignore[arg-type]
-        cur = cur.base
-    return m
+    return _remove_latest(m, lambda n: isinstance(n, Insert) and n.x == x)
 
 
 def unlink(m: FreeMap, k: Dim, x: Dart) -> FreeMap:

@@ -13,15 +13,14 @@ from dataclasses import dataclass
 
 from .fmap import (
     NIL,
-    ChainTracker,
+    ChainKernel,
     Dart,
     Dim,
     FreeMap,
     InternalInvariantError,
-    Link,
     MapError,
-    history,
-    well_formed_violation,
+    kernel_of,
+    replay,
 )
 from .unionfind import UnionFind
 
@@ -50,17 +49,23 @@ class MapStats:
         return cls(nd, ne, nv, nf, nc, ec, genus, genus == 0)
 
 
+def _cycle(perm: dict[Dart, Dart], z: Dart) -> list[Dart]:
+    """The ``perm``-cycle through ``z``, in order from ``z``."""
+    cycle = [z]
+    cur = perm[z]
+    while cur != z:
+        cycle.append(cur)
+        cur = perm[cur]
+    return cycle
+
+
 def _orbit_ids(darts: list[Dart], perm: dict[Dart, Dart]) -> dict[Dart, Dart]:
     """Label each dart with the minimum dart of its ``perm``-cycle."""
     ids: dict[Dart, Dart] = {}
     for d in darts:
         if d in ids:
             continue
-        cycle = [d]
-        z = perm[d]
-        while z != d:
-            cycle.append(z)
-            z = perm[z]
+        cycle = _cycle(perm, d)
         rep = min(cycle)
         for z in cycle:
             ids[z] = rep
@@ -72,11 +77,14 @@ class HypermapIndex:
 
     All dictionaries are keyed by dart.  ``closure[k]`` and ``face_perm``
     are permutations of the dart set; ``*_ids`` map each dart to its
-    orbit's representative (the orbit's minimum dart).
+    orbit's representative (the orbit's minimum dart).  ``kernel`` is the
+    replay the index was built from; ``dart_set`` and the explicit links
+    are its own containers, and it answers the construction
+    preconditions on the indexed map.
     """
 
     __slots__ = (
-        "term", "darts", "dart_set",
+        "term", "kernel", "darts", "dart_set",
         "succ_links", "pred_links",
         "closure", "closure_inv",
         "face_perm", "face_perm_inv",
@@ -86,27 +94,16 @@ class HypermapIndex:
     )
 
     def __init__(self, m: FreeMap, *, check: bool = True) -> None:
-        if check:
-            reason = well_formed_violation(m)
-            if reason is not None:
-                raise MapError(f"map is not well formed: {reason}")
-
-        chains = (ChainTracker(), ChainTracker())
-        darts: list[Dart] = []
-        for node in history(m):
-            if isinstance(node, Link):
-                chains[node.k.value].link(node.x, node.y)
-            else:
-                darts.append(node.x)
-                chains[0].add(node.x)
-                chains[1].add(node.x)
-        darts.sort()
+        kern: ChainKernel = kernel_of(m) if check else replay(m, check=False)[0]
+        chains = kern.chains
+        darts = sorted(kern.darts)
 
         self.term = m
+        self.kernel = kern
         self.darts = tuple(darts)
-        self.dart_set = frozenset(darts)
-        self.succ_links = (dict(chains[0].succ), dict(chains[1].succ))
-        self.pred_links = (dict(chains[0].pred), dict(chains[1].pred))
+        self.dart_set = kern.darts
+        self.succ_links = (chains[0].succ, chains[1].succ)
+        self.pred_links = (chains[0].pred, chains[1].pred)
         self.bottoms = ({d: chains[0].bottom(d) for d in darts},
                         {d: chains[1].bottom(d) for d in darts})
         self.tops = ({d: chains[0].top(d) for d in darts},
@@ -214,3 +211,12 @@ def ensure_index(m: FreeMap, index: HypermapIndex | None) -> HypermapIndex:
             raise MapError("index was built for a different map term")
         return index
     return build_index(m)
+
+
+def require_well_formed(m: FreeMap, index: HypermapIndex | None) -> None:
+    """Validate ``m`` as ``ensure_index`` would, for callers that do not
+    read the index: without one, a checked replay is enough."""
+    if index is None:
+        kernel_of(m)
+    else:
+        ensure_index(m, index)

@@ -16,6 +16,8 @@ in break order, with no header.
 
 from __future__ import annotations
 
+import contextlib
+
 from .fmap import Dim, FreeMap, Insert, Link, MapError, Void, history
 from .index import HypermapIndex, ensure_index
 from .rings import RingItem, RingList
@@ -38,9 +40,11 @@ def _content_lines(text: str):
 
 
 def _parse_dart(token: str, line_no: int) -> int:
-    if not token.isdigit():
-        raise ParseError(line_no, f"expected a dart number, got {token!r}")
-    return int(token)
+    # ASCII only: str.isdigit also accepts digits such as '²' that int() rejects
+    if token.isascii() and token.isdigit():
+        with contextlib.suppress(ValueError):  # more digits than int() converts
+            return int(token)
+    raise ParseError(line_no, f"expected a dart number, got {token!r}")
 
 
 def parse_map(text: str) -> FreeMap:

@@ -15,7 +15,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .criteria import break_disconnects
 from .fmap import (
@@ -28,17 +28,8 @@ from .fmap import (
     Void,
     break_link,
 )
-from .index import HypermapIndex, build_index, ensure_index
-from .rings import (
-    RingItem,
-    RingList,
-    break_ring,
-    check_ring,
-    ring_closed,
-    ring_continuous,
-    ring_edges_unique,
-    ring_faces_distinct,
-)
+from .index import HypermapIndex, build_index, ensure_index, require_well_formed
+from .rings import RingItem, RingList, break_ring, check_ring
 from .stats import IncrementalMap
 
 
@@ -99,14 +90,9 @@ def tail_is_ring_after_first_break(m: FreeMap, items: RingList, *,
     still satisfy all four ring conditions in the broken map."""
     if len(items) < 2:
         raise ConstraintError("needs a ring of length >= 2")
-    ensure_index(m, index)
+    require_well_formed(m, index)
     m1 = break_link(m, Dim.zero, items[0].x)
-    idx1 = build_index(m1, check=False)
-    tail = list(items[1:])
-    return (ring_edges_unique(m1, tail, index=idx1)
-            and ring_continuous(m1, tail, index=idx1)
-            and ring_closed(m1, tail, index=idx1)
-            and ring_faces_distinct(m1, tail, index=idx1))
+    return check_ring(m1, items[1:], index=build_index(m1, check=False)).valid
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +192,46 @@ def find_ring(m: FreeMap, max_len: int, seed: int, *,
               index: HypermapIndex | None = None) -> list[RingItem] | None:
     """Search for a valid ring of at most ``max_len`` items.
 
-    Walks the graph whose nodes are faces and whose edges are the
-    double-links, looking for a simple cycle with pairwise distinct
-    edge orbits.  The seed only shuffles exploration order.  Returns
-    None when no ring of the requested length exists in the explored
-    order (the search is exhaustive, so None means none exists).
+    Returns the first ring of the search ``candidate_rings`` runs, with
+    the exploration order shuffled by ``seed``.  The search is
+    exhaustive, so None means no such ring exists.
     """
     idx = ensure_index(m, index)
-    rng = random.Random(seed)
-    conns = _connectors(idx)
-    rng.shuffle(conns)
+    rings = _ring_search(idx, max_len, random.Random(seed).shuffle)
+    return next((list(ring) for ring in rings), None)
 
+
+def candidate_rings(idx: HypermapIndex,
+                    max_len: int) -> Iterator[tuple[RingItem, ...]]:
+    """Every valid ring of the indexed map with at most ``max_len`` items.
+
+    Singletons are the double-links bordering one face on both sides
+    (either flag works, so both lists appear); longer rings are simple
+    cycles through distinct faces over distinct edge orbits, and the
+    flags are forced by the traversal direction.
+    """
+    yield from _ring_search(idx, max_len, _keep_order)
+
+
+def _keep_order(seq: list) -> None:
+    """The exploration order of ``candidate_rings``: as built."""
+
+
+def _ring_search(idx: HypermapIndex, max_len: int,
+                 order: Callable[[list], None]) -> Iterator[tuple[RingItem, ...]]:
+    """Depth-first search of the graph whose nodes are faces and whose
+    edges are the double-links, for simple cycles with pairwise distinct
+    edge orbits.  ``order`` permutes each list the search explores, in
+    place, before it is explored."""
+    conns = _connectors(idx)
+    order(conns)
     if max_len >= 1:
         for x, _edge, fy, f0 in conns:
             if fy == f0:
-                return [RingItem(x, rng.getrandbits(1) == 1)]
+                yield (RingItem(x, True),)
+                yield (RingItem(x, False),)
     if max_len < 2:
-        return None
+        return
 
     by_face: dict[Dart, list[tuple[int, bool, Dart]]] = {}
     for ci, (x, _edge, fy, f0) in enumerate(conns):
@@ -231,42 +240,35 @@ def find_ring(m: FreeMap, max_len: int, seed: int, *,
         by_face.setdefault(fy, []).append((ci, True, f0))
         by_face.setdefault(f0, []).append((ci, False, fy))
     for options in by_face.values():
-        rng.shuffle(options)
+        order(options)
+    starts = sorted(by_face)
+    order(starts)
 
-    starts = list(by_face)
-    rng.shuffle(starts)
     used_edges: set[Dart] = set()
     visited: set[Dart] = set()
     path: list[RingItem] = []
 
-    def dfs(start: Dart, cur: Dart) -> list[RingItem] | None:
-        for ci, flag, other in by_face.get(cur, ()):  # noqa: B023
+    def dfs(start: Dart, cur: Dart) -> Iterator[tuple[RingItem, ...]]:
+        for ci, flag, other in by_face.get(cur, ()):
             x, edge, _fy, _f0 = conns[ci]
             if edge in used_edges:
                 continue
             if other == start and len(path) + 1 >= 2:
-                return path + [RingItem(x, flag)]
+                yield tuple(path) + (RingItem(x, flag),)
             if other in visited or len(path) + 1 >= max_len:
                 continue
             used_edges.add(edge)
             visited.add(other)
             path.append(RingItem(x, flag))
-            hit = dfs(start, other)
-            if hit is not None:
-                return hit
+            yield from dfs(start, other)
             path.pop()
             visited.remove(other)
             used_edges.remove(edge)
-        return None
 
     for start in starts:
+        # backtracking leaves used_edges and path empty between starts
         visited = {start}
-        used_edges = set()
-        path = []
-        hit = dfs(start, start)
-        if hit is not None:
-            return hit
-    return None
+        yield from dfs(start, start)
 
 
 # ---------------------------------------------------------------------------
@@ -451,59 +453,6 @@ def enumerate_maps(max_darts: int) -> Iterator[FreeMap]:
                 for x in sorted(s1):
                     m = Link(m, Dim.one, x, s1[x])
                 yield m
-
-
-def candidate_rings(idx: HypermapIndex,
-                    max_len: int) -> Iterator[tuple[RingItem, ...]]:
-    """Every valid ring of the indexed map with at most ``max_len`` items.
-
-    Singletons are the double-links bordering one face on both sides
-    (either flag works, so both lists appear); longer rings are simple
-    cycles through distinct faces over distinct edge orbits, and the
-    flags are forced by the traversal direction.
-    """
-    conns = _connectors(idx)
-    if max_len >= 1:
-        for x, _edge, fy, f0 in conns:
-            if fy == f0:
-                yield (RingItem(x, True),)
-                yield (RingItem(x, False),)
-    if max_len < 2:
-        return
-
-    by_face: dict[Dart, list[tuple[int, bool, Dart]]] = {}
-    for ci, (x, _edge, fy, f0) in enumerate(conns):
-        if fy == f0:
-            continue
-        by_face.setdefault(fy, []).append((ci, True, f0))
-        by_face.setdefault(f0, []).append((ci, False, fy))
-
-    used_edges: set[Dart] = set()
-    visited: set[Dart] = set()
-    path: list[RingItem] = []
-
-    def dfs(start: Dart, cur: Dart) -> Iterator[tuple[RingItem, ...]]:
-        for ci, flag, other in by_face.get(cur, ()):
-            x, edge, _fy, _f0 = conns[ci]
-            if edge in used_edges:
-                continue
-            if other == start and len(path) + 1 >= 2:
-                yield tuple(path) + (RingItem(x, flag),)
-            if other in visited or len(path) + 1 >= max_len:
-                continue
-            used_edges.add(edge)
-            visited.add(other)
-            path.append(RingItem(x, flag))
-            yield from dfs(start, other)
-            path.pop()
-            visited.remove(other)
-            used_edges.remove(edge)
-
-    for start in sorted(by_face):
-        visited = {start}
-        used_edges = set()
-        path = []
-        yield from dfs(start, start)
 
 
 @dataclass(slots=True)

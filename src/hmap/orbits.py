@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .fmap import ConstraintError, Dart, FreeMap, Insert, Link, history
-from .index import HypermapIndex, ensure_index
+from .index import HypermapIndex, _cycle, ensure_index
 
 
 class OrbitKind(Enum):
@@ -54,12 +54,7 @@ def orbit(m: FreeMap, kind: OrbitKind, z: Dart, *,
         members = tuple(sorted(d for d in idx.darts
                                if idx.component_ids[d] == rep))
         return Orbit(kind, rep, members)
-    perm = _perm_of(idx, kind)
-    cycle = [z]
-    cur = perm[z]
-    while cur != z:
-        cycle.append(cur)
-        cur = perm[cur]
+    cycle = _cycle(_perm_of(idx, kind), z)
     return Orbit(kind, min(cycle), tuple(cycle))
 
 
@@ -78,16 +73,8 @@ def all_orbits(m: FreeMap, kind: OrbitKind, *,
     ids = {OrbitKind.edge: idx.edge_ids,
            OrbitKind.vertex: idx.vertex_ids,
            OrbitKind.face: idx.face_ids}[kind]
-    reps = sorted(set(ids.values()))
-    out = []
-    for rep in reps:
-        cycle = [rep]
-        cur = perm[rep]
-        while cur != rep:
-            cycle.append(cur)
-            cur = perm[cur]
-        out.append(Orbit(kind, rep, tuple(cycle)))
-    return out
+    return [Orbit(kind, rep, tuple(_cycle(perm, rep)))
+            for rep in sorted(set(ids.values()))]
 
 
 def same_orbit(m: FreeMap, kind: OrbitKind, a: Dart, b: Dart, *,

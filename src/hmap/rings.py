@@ -51,25 +51,6 @@ def face_anchor(m: FreeMap, item: RingItem, *,
     return y if item.flag else idx.bottom(Dim.zero, item.x)
 
 
-def _anchors(idx: HypermapIndex, item: RingItem) -> tuple[Dart, Dart]:
-    """(identified face dart, opposite face dart); nil when no 0-link."""
-    y = idx.successor(Dim.zero, item.x)
-    if y == NIL:
-        return NIL, NIL
-    x0 = idx.bottom(Dim.zero, item.x)
-    return (y, x0) if item.flag else (x0, y)
-
-
-def _adjacent(idx: HypermapIndex, a: RingItem, b: RingItem) -> bool:
-    # the face opposite a's identified one must be b's identified one;
-    # nil anchors (missing links) are never adjacent to anything
-    _, a_other = _anchors(idx, a)
-    b_ident, _ = _anchors(idx, b)
-    if a_other == NIL or b_ident == NIL:
-        return False
-    return idx.same_face(a_other, b_ident)
-
-
 def adjacent_faces(m: FreeMap, a: RingItem, b: RingItem, *,
                    index: HypermapIndex | None = None) -> bool:
     """Does item ``b`` identify the face on the other side of ``a``'s
@@ -78,69 +59,7 @@ def adjacent_faces(m: FreeMap, a: RingItem, b: RingItem, *,
     for item in (a, b):
         if idx.successor(Dim.zero, item.x) == NIL:
             raise ConstraintError(f"dart {item.x} has no 0-successor")
-    return _adjacent(idx, a, b)
-
-
-# ---------------------------------------------------------------------------
-# the four ring conditions (all total predicates)
-
-
-def ring_edges_unique(m: FreeMap, items: RingList, *,
-                      index: HypermapIndex | None = None) -> bool:
-    """Every item has a 0-link and no two items use the same edge."""
-    idx = ensure_index(m, index)
-    seen: set[Dart] = set()
-    for item in items:
-        if idx.successor(Dim.zero, item.x) == NIL:
-            return False
-        edge = idx.edge_ids[item.x]
-        if edge in seen:
-            return False
-        seen.add(edge)
-    return True
-
-
-def ring_continuous(m: FreeMap, items: RingList, *,
-                    index: HypermapIndex | None = None) -> bool:
-    """Each item's opposite face is the next item's identified face."""
-    idx = ensure_index(m, index)
-    return all(_adjacent(idx, items[i], items[i + 1])
-               for i in range(len(items) - 1))
-
-
-def ring_closed(m: FreeMap, items: RingList, *,
-                index: HypermapIndex | None = None) -> bool:
-    """The ring wraps: the last item is adjacent to the first.
-
-    A singleton wraps through its own double-link: the link target and
-    the chain bottom must share a face (both sides are the same face).
-    """
-    idx = ensure_index(m, index)
-    if not items:
-        return True
-    if len(items) == 1:
-        x = items[0].x
-        y = idx.successor(Dim.zero, x)
-        if y == NIL:
-            return False
-        return idx.same_face(y, idx.bottom(Dim.zero, x))
-    return _adjacent(idx, items[-1], items[0])
-
-
-def ring_faces_distinct(m: FreeMap, items: RingList, *,
-                        index: HypermapIndex | None = None) -> bool:
-    """No two items identify the same face."""
-    idx = ensure_index(m, index)
-    reps: set[Dart] = set()
-    for item in items:
-        ident, _ = _anchors(idx, item)
-        if ident == NIL:
-            continue  # uniqueness of faces is not this condition's failure
-        face = idx.face_ids[ident]
-        if face in reps:
-            return False
-        reps.add(face)
-    return True
+    return check_ring(m, (a, b), index=idx).continuous
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,64 +85,105 @@ class RingDiagnostics:
         return f"invalid ring: {self.failure}{where}"
 
 
-def _first_edge_clash(idx: HypermapIndex, items: RingList) -> tuple[int, ...]:
-    seen: dict[Dart, int] = {}
-    for i, item in enumerate(items):
-        if idx.successor(Dim.zero, item.x) == NIL:
-            return (i,)
-        edge = idx.edge_ids[item.x]
-        if edge in seen:
-            return (seen[edge], i)
-        seen[edge] = i
-    return ()
+Sides = tuple[Dart, Dart] | None
 
 
-def _first_face_clash(idx: HypermapIndex, items: RingList) -> tuple[int, ...]:
-    seen: dict[Dart, int] = {}
-    for i, item in enumerate(items):
-        ident, _ = _anchors(idx, item)
-        if ident == NIL:
-            continue
-        face = idx.face_ids[ident]
-        if face in seen:
-            return (seen[face], i)
-        seen[face] = i
-    return ()
+def _adjacent(a: Sides, b: Sides) -> bool:
+    # the face opposite a's identified one must be b's identified one;
+    # items without a 0-link are never adjacent to anything
+    return a is not None and b is not None and a[1] == b[0]
 
 
 def check_ring(m: FreeMap, items: RingList, *,
                index: HypermapIndex | None = None) -> RingDiagnostics:
-    """Evaluate all ring conditions and locate the first failure."""
-    idx = ensure_index(m, index)
-    nonempty = len(items) > 0
-    edges_unique = ring_edges_unique(m, items, index=idx)
-    continuous = ring_continuous(m, items, index=idx)
-    closed = ring_closed(m, items, index=idx)
-    faces_distinct = ring_faces_distinct(m, items, index=idx)
-    valid = nonempty and edges_unique and continuous and closed and faces_distinct
+    """Evaluate the four ring conditions in one pass over the items and
+    locate the first failure.
 
-    failure: str | None = None
-    failure_items: tuple[int, ...] = ()
-    if not valid:
-        if not nonempty:
-            failure = "empty ring"
-        elif not edges_unique:
-            failure = "edge reused or item without 0-link"
-            failure_items = _first_edge_clash(idx, items)
-        elif not continuous:
-            failure = "consecutive items not adjacent"
-            for i in range(len(items) - 1):
-                if not _adjacent(idx, items[i], items[i + 1]):
-                    failure_items = (i, i + 1)
-                    break
-        elif not closed:
-            failure = "ring does not close"
-            failure_items = (len(items) - 1, 0) if len(items) > 1 else (0,)
+    The conditions, in diagnosis order: every item has a 0-link and no
+    two items use the same edge; each item's opposite face is the next
+    item's identified face; the ring wraps (the last item is adjacent to
+    the first, and a singleton's double-link borders one face on both
+    sides); no two items identify the same face.  Each condition holds
+    vacuously on the empty list, which is invalid only for being empty.
+    """
+    idx = ensure_index(m, index)
+    succ0, bottom0 = idx.succ_links[0], idx.bottoms[0]
+    edge_ids, face_ids = idx.edge_ids, idx.face_ids
+    # per item: (identified face, opposite face), None without a 0-link
+    sides: list[Sides] = []
+    first_edge: dict[Dart, int] = {}
+    first_face: dict[Dart, int] = {}
+    edge_clash: tuple[int, ...] | None = None
+    gap: tuple[int, ...] | None = None
+    face_clash: tuple[int, ...] | None = None
+    for i, item in enumerate(items):
+        y = succ0.get(item.x, NIL)
+        if y == NIL:
+            sides.append(None)
+            edge_clash = edge_clash or (i,)
         else:
-            failure = "two items identify the same face"
-            failure_items = _first_face_clash(idx, items)
-    return RingDiagnostics(valid, nonempty, edges_unique, continuous,
-                           closed, faces_distinct, failure, failure_items)
+            fy, f0 = face_ids[y], face_ids[bottom0[item.x]]
+            here = (fy, f0) if item.flag else (f0, fy)
+            sides.append(here)
+            j = first_edge.setdefault(edge_ids[item.x], i)
+            if j != i:
+                edge_clash = edge_clash or (j, i)
+            j = first_face.setdefault(here[0], i)
+            if j != i:
+                face_clash = face_clash or (j, i)
+        if i > 0 and gap is None and not _adjacent(sides[i - 1], sides[i]):
+            gap = (i - 1, i)
+
+    n = len(items)
+    if n == 0:
+        closed = True
+    elif n == 1:
+        closed = sides[0] is not None and sides[0][0] == sides[0][1]
+    else:
+        closed = _adjacent(sides[-1], sides[0])
+    verdicts = (
+        (n > 0, "empty ring", ()),
+        (edge_clash is None, "edge reused or item without 0-link", edge_clash),
+        (gap is None, "consecutive items not adjacent", gap),
+        (closed, "ring does not close", (n - 1, 0) if n > 1 else (0,)),
+        (face_clash is None, "two items identify the same face", face_clash),
+    )
+    failure, failure_items = next(((what, at) for ok, what, at in verdicts if not ok),
+                                  (None, ()))
+    return RingDiagnostics(failure is None, *(ok for ok, _, _ in verdicts),
+                           failure, failure_items)
+
+
+# ---------------------------------------------------------------------------
+# the four ring conditions one at a time (all total predicates)
+
+
+def ring_edges_unique(m: FreeMap, items: RingList, *,
+                      index: HypermapIndex | None = None) -> bool:
+    """Every item has a 0-link and no two items use the same edge."""
+    return check_ring(m, items, index=index).edges_unique
+
+
+def ring_continuous(m: FreeMap, items: RingList, *,
+                    index: HypermapIndex | None = None) -> bool:
+    """Each item's opposite face is the next item's identified face."""
+    return check_ring(m, items, index=index).continuous
+
+
+def ring_closed(m: FreeMap, items: RingList, *,
+                index: HypermapIndex | None = None) -> bool:
+    """The ring wraps: the last item is adjacent to the first.
+
+    A singleton wraps through its own double-link: the link target and
+    the chain bottom must share a face (both sides are the same face).
+    """
+    return check_ring(m, items, index=index).closed
+
+
+def ring_faces_distinct(m: FreeMap, items: RingList, *,
+                        index: HypermapIndex | None = None) -> bool:
+    """No two items identify the same face."""
+    return check_ring(m, items, index=index).faces_distinct
 
 
 def is_ring(m: FreeMap, items: RingList, *,

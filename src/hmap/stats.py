@@ -10,22 +10,21 @@ Tests hold the two backends equal on every generated map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fmap import (
     NIL,
-    ChainTracker,
+    ChainKernel,
     ConstraintError,
     Dart,
     Dim,
     FreeMap,
     Insert,
     Link,
-    MapError,
     Void,
     history,
 )
-from .index import HypermapIndex, MapStats, build_index, ensure_index
+from .index import HypermapIndex, MapStats, _cycle, ensure_index
 from .unionfind import UnionFind
 
 __all__ = [
@@ -140,14 +139,12 @@ def check_euler_formula(m: FreeMap, *,
 # incremental backend
 
 
-@dataclass(slots=True)
-class _OpLog:
-    ops: list = field(default_factory=list)
-
-
-class IncrementalMap:
+class IncrementalMap(ChainKernel):
     """Mutable map builder that keeps all counts and the face permutation
     current across insertions and links.
+
+    The darts and chains are the inherited :class:`ChainKernel`, which
+    also decides every construction precondition.
 
     Each link changes the face permutation at exactly two darts and
     changes the face count by one; whether a face splits or two merge is
@@ -159,13 +156,12 @@ class IncrementalMap:
     split test doubles as the planarity-preservation test.
     """
 
-    __slots__ = ("darts", "chains", "components", "face_next", "face_prev",
+    __slots__ = ("components", "face_next", "face_prev",
                  "n_darts", "n_edges", "n_vertices", "n_faces", "n_components",
-                 "_log")
+                 "_term")
 
     def __init__(self) -> None:
-        self.darts: set[Dart] = set()
-        self.chains = (ChainTracker(), ChainTracker())
+        super().__init__()
         self.components = UnionFind()
         self.face_next: dict[Dart, Dart] = {}
         self.face_prev: dict[Dart, Dart] = {}
@@ -174,7 +170,7 @@ class IncrementalMap:
         self.n_vertices = 0
         self.n_faces = 0
         self.n_components = 0
-        self._log = _OpLog()
+        self._term: FreeMap = Void()
 
     # -- queries ------------------------------------------------------------
 
@@ -195,41 +191,22 @@ class IncrementalMap:
         """Walk a's face cycle looking for b; linear in the face size."""
         if a not in self.darts or b not in self.darts:
             return False
-        if a == b:
-            return True
-        cur = self.face_next[a]
-        while cur != a:
-            if cur == b:
-                return True
-            cur = self.face_next[cur]
-        return False
+        return b in _cycle(self.face_next, a)
 
     def face_members(self, z: Dart) -> list[Dart]:
-        out = [z]
-        cur = self.face_next[z]
-        while cur != z:
-            out.append(cur)
-            cur = self.face_next[cur]
-        return out
+        return _cycle(self.face_next, z)
 
     # -- construction ---------------------------------------------------------
 
-    def insert_violation(self, x: Dart) -> str | None:
-        if x == NIL:
-            return "dart id is the reserved nil value"
-        if x < 0:
-            return f"dart id {x} is negative"
-        if x in self.darts:
-            return f"dart {x} already exists"
-        return None
+    # The kernel's link checks, bound in this class body as well, so that
+    # the class lists them as its own methods: per-class instrumentation
+    # (such as the benchmark's tracer) sees every link attempt.
+    link_violation = ChainKernel.link_violation
+    can_link = ChainKernel.can_link
 
     def insert(self, x: Dart) -> None:
-        reason = self.insert_violation(x)
-        if reason is not None:
-            raise ConstraintError(f"insert {x}: {reason}")
-        self.darts.add(x)
-        for c in self.chains:
-            c.add(x)
+        self.require_insert(x)
+        self.add_dart(x)
         self.components.add(x)
         self.face_next[x] = x
         self.face_prev[x] = x
@@ -238,24 +215,7 @@ class IncrementalMap:
         self.n_vertices += 1
         self.n_faces += 1
         self.n_components += 1
-        self._log.ops.append(("i", x))
-
-    def link_violation(self, k: Dim, x: Dart, y: Dart) -> str | None:
-        if x not in self.darts:
-            return f"dart {x} does not exist"
-        if y not in self.darts:
-            return f"dart {y} does not exist"
-        c = self.chains[k.value]
-        if x in c.succ:
-            return f"dart {x} already has a {k.value}-successor"
-        if y in c.pred:
-            return f"dart {y} already has a {k.value}-predecessor"
-        if c.closed_succ(x) == y:
-            return f"linking {x}->{y} would close the {k.value}-orbit"
-        return None
-
-    def can_link(self, k: Dim, x: Dart, y: Dart) -> bool:
-        return self.link_violation(k, x, y) is None
+        self._term = Insert(self._term, x)
 
     def link_splits_face(self, k: Dim, x: Dart, y: Dart) -> bool:
         """Would linking x->y at dim k split one face into two?
@@ -273,14 +233,11 @@ class IncrementalMap:
         return (not self.components.same(x, y)) or self.link_splits_face(k, x, y)
 
     def link(self, k: Dim, x: Dart, y: Dart) -> None:
-        reason = self.link_violation(k, x, y)
-        if reason is not None:
-            raise ConstraintError(f"link {x}->{y} at dim {k.value}: {reason}")
+        self.require_link(k, x, y)
 
         # everything the update needs is read off before mutating
         splits = self.link_splits_face(k, x, y)
         merged_components = self.components.union(x, y)
-        fn, fp = self.face_next, self.face_prev
 
         if k is Dim.zero:
             b0x = self.chains[0].bottom(x)
@@ -304,7 +261,7 @@ class IncrementalMap:
         self.n_faces += 1 if splits else -1
         if merged_components:
             self.n_components -= 1
-        self._log.ops.append(("l", k, x, y))
+        self._term = Link(self._term, k, x, y)
 
     def _set_face(self, z: Dart, target: Dart) -> None:
         # rewires face_next[z] = target keeping face_prev consistent;
@@ -320,13 +277,8 @@ class IncrementalMap:
                                     self.n_components)
 
     def term(self) -> FreeMap:
-        m: FreeMap = Void()
-        for op in self._log.ops:
-            if op[0] == "i":
-                m = Insert(m, op[1])
-            else:
-                m = Link(m, op[1], op[2], op[3])
-        return m
+        """The map built so far, as the term of its construction steps."""
+        return self._term
 
 
 def counts_incremental(m: FreeMap) -> MapStats:

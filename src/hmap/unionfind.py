@@ -23,9 +23,6 @@ class UnionFind:
             self._parent[x] = x
             self._size[x] = 1
 
-    def __contains__(self, x) -> bool:
-        return x in self._parent
-
     def find(self, x):
         p = self._parent
         while p[x] != x:
@@ -46,9 +43,6 @@ class UnionFind:
 
     def same(self, a, b) -> bool:
         return self.find(a) == self.find(b)
-
-    def n_sets(self) -> int:
-        return sum(1 for x, p in self._parent.items() if x == p)
 
     def groups(self) -> dict:
         """Root -> sorted members, for every tracked item."""

@@ -1,6 +1,12 @@
 """CLI subcommands and the exit-code contract (0 true, 1 false, 2 error)."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hmap import parse_map, serialize_map, serialize_ring, RingItem
 from hmap.cli import run_cli
@@ -169,3 +175,64 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli([]) == 2
     assert run_cli(["frobnicate"]) == 2
     assert run_cli(["orbit", "x.map", "--kind", "nonsense", "--dart", "1"]) == 2
+
+
+@pytest.mark.parametrize("content", [
+    "hmap 1\ni ²\n".encode("utf-8"),   # a digit to str.isdigit, not to int()
+    b"hmap 1\ni 1\xff\n",              # not UTF-8
+])
+def test_bad_map_bytes_exit_2(tmp_path, capsys, content):
+    p = tmp_path / "m.map"
+    p.write_bytes(content)
+    for argv in (["check", str(p)], ["stats", str(p)]):
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", ["² t\n".encode("utf-8"), b"1 t\xff\n"])
+def test_bad_ring_bytes_exit_2(files, tmp_path, capsys, content):
+    p = tmp_path / "r.ring"
+    p.write_bytes(content)
+    assert run_cli(["ring-check", files["digon"], str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Files that are mostly well formed reach past the parser into every
+# command; raw bytes exercise decoding and the parser itself.
+_DART = st.integers(-1, 6).map(str) | st.sampled_from(["²", "x", ""])
+_MAP_LINE = st.one_of(
+    st.just("hmap 1"),
+    st.builds("i {}".format, _DART),
+    st.builds("l {} {} {}".format, st.sampled_from(["0", "1", "2"]), _DART, _DART),
+    st.text(max_size=8),
+)
+_RING_LINE = st.builds("{} {}".format, _DART, st.sampled_from(["t", "f", "x"]))
+_MAP_BYTES = st.binary(max_size=64) | st.lists(_MAP_LINE, max_size=14).map(
+    lambda lines: "\n".join(["hmap 1"] + lines).encode("utf-8"))
+_RING_BYTES = st.binary(max_size=32) | st.lists(_RING_LINE, max_size=4).map(
+    lambda lines: "\n".join(lines).encode("utf-8"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cmd=st.sampled_from(["check", "stats", "orbit", "planar", "dot",
+                            "ring-check", "break", "jordan"]),
+       map_bytes=_MAP_BYTES, ring_bytes=_RING_BYTES)
+def test_any_file_bytes_exit_cleanly(cmd, map_bytes, ring_bytes):
+    with tempfile.TemporaryDirectory() as d:
+        mp, rp = Path(d) / "m.map", Path(d) / "r.ring"
+        mp.write_bytes(map_bytes)
+        rp.write_bytes(ring_bytes)
+        argv = [cmd, str(mp)]
+        if cmd in ("ring-check", "break", "jordan"):
+            argv.append(str(rp))
+        if cmd == "orbit":
+            argv += ["--kind", "face", "--dart", "1"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = run_cli(argv)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1

@@ -6,6 +6,7 @@ from hmap import (
     ConstraintError,
     Dim,
     Link,
+    MapError,
     break_disconnects,
     break_link,
     build_index,
@@ -52,6 +53,10 @@ class TestPlanarFromBreak:
     def test_requires_successor(self, two_dart_edge):
         with pytest.raises(ConstraintError, match="no 0-successor"):
             planar_from_break(two_dart_edge, d0, 2)
+
+    def test_still_checks_well_formedness(self, digon):
+        with pytest.raises(MapError, match="not well formed"):
+            planar_from_break(Link(digon, d0, 2, 1), d0, 1)
 
     def test_dim_one_mirror(self, digon, torus_quad):
         assert planar_from_break(digon, d1, 2) is True

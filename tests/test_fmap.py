@@ -10,6 +10,7 @@ from hmap import (
     Dim,
     Insert,
     Link,
+    MapError,
     Void,
     bottom,
     break_link,
@@ -38,6 +39,7 @@ from hmap import (
     unlink_back,
     well_formed_violation,
 )
+from hmap.jordan import enumerate_maps
 
 d0 = Dim.zero
 d1 = Dim.one
@@ -186,6 +188,28 @@ class TestPreconditions:
         m = make_map([1])
         assert not can_link(m, d0, 1, 1)
 
+    def test_kernel_matches_observer_formula_exhaustively(self):
+        # the paper's preconditions, written with the recursive observers,
+        # against the one kernel statement of them, on every map <= 4 darts
+        for m in enumerate_maps(4):
+            n = sum(1 for z in range(1, 5) if has_dart(m, z))
+            for x in range(n + 2):
+                assert can_insert(m, x) == (x != NIL and not has_dart(m, x))
+                for k in Dim:
+                    for y in range(n + 2):
+                        want = (has_dart(m, x) and has_dart(m, y)
+                                and not has_successor(m, k, x)
+                                and not has_predecessor(m, k, y)
+                                and closed_successor(m, k, x) != y)
+                        assert can_link(m, k, x, y) == want, (m, k, x, y)
+
+    def test_base_must_be_well_formed(self):
+        bad = Insert(Insert(Void(), 1), 1)
+        with pytest.raises(MapError, match="not well formed"):
+            can_insert(bad, 2)
+        with pytest.raises(MapError, match="not well formed"):
+            link(bad, d0, 1, 1)
+
 
 class TestCheckedBuilders:
     def test_insert(self):
@@ -204,6 +228,12 @@ class TestCheckedBuilders:
             insert_dart(Insert(Void(), 3), 3)
         with pytest.raises(ConstraintError, match="nil"):
             insert_dart(Void(), 0)
+
+    def test_make_map_names_failed_step(self):
+        with pytest.raises(ConstraintError, match="link 2->1 at dim 1: .*close the 1-orbit"):
+            make_map([1, 2], [(d1, 1, 2), (d1, 2, 1)])
+        with pytest.raises(ConstraintError, match="insert 2: .*already exists"):
+            make_map([1, 2, 2])
 
     def test_link_errors_name_reason(self):
         m = make_map([1, 2])

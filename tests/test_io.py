@@ -71,6 +71,22 @@ def test_invariant_violations_are_not_parse_errors():
     assert not is_well_formed(m)
 
 
+def test_non_ascii_digits_are_parse_errors():
+    # '²' passes str.isdigit but not int(); '٣' passes both
+    for token in ("²", "٣", "1²"):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_map(f"hmap 1\ni {token}\n")
+        with pytest.raises(ParseError, match="line 3"):
+            parse_map(f"hmap 1\ni 1\nl 0 1 {token}\n")
+        with pytest.raises(ParseError, match="line 1"):
+            parse_ring(f"{token} t\n")
+
+
+def test_oversized_dart_number_is_a_parse_error():
+    with pytest.raises(ParseError, match="line 2"):
+        parse_map("hmap 1\ni " + "9" * 5000 + "\n")
+
+
 def test_negative_dart_is_a_parse_error():
     with pytest.raises(ParseError):
         parse_map("hmap 1\ni -3\n")

@@ -5,9 +5,12 @@ import pytest
 from hmap import (
     ConstraintError,
     Dim,
+    Link,
+    MapError,
     RingItem,
     break_ring,
     build_index,
+    candidate_rings,
     check_ring,
     counts,
     enumerate_maps,
@@ -25,6 +28,8 @@ from hmap import (
     random_planar_map,
     tail_is_ring_after_first_break,
 )
+
+from conftest import build_digon
 
 d0 = Dim.zero
 d1 = Dim.one
@@ -67,6 +72,11 @@ class TestLemmas:
 
     def test_digon_tail_still_ring(self, digon):
         assert tail_is_ring_after_first_break(digon, DIGON_RING)
+
+    def test_tail_lemma_still_checks_well_formedness(self):
+        bad = Link(build_digon(), d0, 2, 1)
+        with pytest.raises(MapError, match="not well formed"):
+            tail_is_ring_after_first_break(bad, DIGON_RING)
 
     def test_need_two_items(self, two_dart_edge):
         with pytest.raises(ConstraintError, match=">= 2"):
@@ -129,6 +139,18 @@ class TestFindRing:
     def test_digon_needs_length_two(self, digon):
         # no double-link of the digon borders one face twice
         assert find_ring(digon, 1, seed=0) is None
+
+    def test_none_exactly_when_no_candidate(self):
+        # find_ring is the first hit of the search candidate_rings runs
+        for i, m in enumerate(enumerate_maps(4)):
+            idx = build_index(m, check=False)
+            for max_len in (1, 2, 3):
+                none_exists = next(candidate_rings(idx, max_len), None) is None
+                ring = find_ring(m, max_len, i)
+                assert (ring is None) == none_exists, (m, max_len)
+                if ring is not None:
+                    assert len(ring) <= max_len
+                    assert check_ring(m, ring, index=idx).valid
 
     @pytest.mark.parametrize("seed", range(40))
     def test_found_rings_are_valid(self, seed):
