@@ -59,25 +59,65 @@ class InternalInvariantError(MapError):
 
 
 class FreeMap:
-    """Base class of map terms; concrete terms are Void, Insert and Link."""
+    """Base class of map terms; concrete terms are Void, Insert and Link.
+
+    ``==``, ``hash`` and ``repr`` loop down the ``base`` chain, so terms
+    of any depth support them (the dataclass versions recurse once per
+    node); they agree with the dataclass versions.  ``_step`` names a
+    step's fields other than ``base``.
+    """
 
     __slots__ = ()
+    _step: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self, other
+        while a is not b:
+            if a.__class__ is not b.__class__:
+                return False
+            if not isinstance(a, (Insert, Link)):
+                return isinstance(a, Void) or a == b
+            for f in a._step:
+                if getattr(a, f) != getattr(b, f):
+                    return False
+            a, b = a.base, b.base
+        return True
+
+    def __hash__(self) -> int:
+        steps, bottom = _spine(self)
+        h = hash(()) if isinstance(bottom, Void) else hash(bottom)
+        for node in reversed(steps):
+            h = hash((h, *[getattr(node, f) for f in node._step]))
+        return h
+
+    def __repr__(self) -> str:
+        steps, bottom = _spine(self)
+        parts = [f"{type(node).__qualname__}(base=" for node in steps]
+        parts.append(f"{type(bottom).__qualname__}()" if isinstance(bottom, Void)
+                     else repr(bottom))
+        for node in reversed(steps):
+            parts.extend(f", {f}={getattr(node, f)!r}" for f in node._step)
+            parts.append(")")
+        return "".join(parts)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Void(FreeMap):
     """The empty map."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Insert(FreeMap):
     """``base`` extended with a new isolated dart ``x``."""
 
     base: FreeMap
     x: Dart
+    _step = ("x",)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Link(FreeMap):
     """``base`` extended with an explicit dimension-``k`` link ``x -> y``."""
 
@@ -85,6 +125,17 @@ class Link(FreeMap):
     k: Dim
     x: Dart
     y: Dart
+    _step = ("k", "x", "y")
+
+
+def _spine(m: FreeMap) -> tuple[list[Insert | Link], object]:
+    """The steps of ``m`` from the outermost in, and what lies below them
+    (``Void()`` for a term)."""
+    steps: list[Insert | Link] = []
+    while isinstance(m, (Insert, Link)):
+        steps.append(m)
+        m = m.base
+    return steps, m
 
 
 def history(m: FreeMap) -> list[Insert | Link]:

@@ -17,8 +17,10 @@ from .fmap import (
     Dart,
     Dim,
     FreeMap,
+    Insert,
     InternalInvariantError,
     MapError,
+    history,
     kernel_of,
     replay,
 )
@@ -202,6 +204,25 @@ class HypermapIndex:
 def build_index(m: FreeMap, *, check: bool = True) -> HypermapIndex:
     """Index ``m``; with ``check`` on, reject terms that are not well formed."""
     return HypermapIndex(m, check=check)
+
+
+def count_components(m: FreeMap) -> int:
+    """Number of connected components of ``m``, without an index.
+
+    One pass over the steps of ``m``: every insert adds a component and
+    every link that joins two components removes one.  Like
+    ``build_index(m, check=False)`` it does not check the term, so ``m``
+    must be well formed.
+    """
+    uf = UnionFind()
+    n = 0
+    for node in history(m):
+        if isinstance(node, Insert):
+            uf.add(node.x)
+            n += 1
+        elif uf.union(node.x, node.y):
+            n -= 1
+    return n
 
 
 def ensure_index(m: FreeMap, index: HypermapIndex | None) -> HypermapIndex:

@@ -39,7 +39,9 @@ from hmap import (
     unlink_back,
     well_formed_violation,
 )
-from hmap.jordan import enumerate_maps
+from hmap.fmap import history
+from hmap.io import parse_map, serialize_map
+from hmap.jordan import enumerate_maps, random_planar_map
 
 d0 = Dim.zero
 d1 = Dim.one
@@ -48,6 +50,37 @@ d1 = Dim.one
 def test_dim_other():
     assert d0.other is d1
     assert d1.other is d0
+
+
+class TestTermIdentity:
+    def test_repr_is_the_dataclass_repr(self):
+        m = Link(Insert(Void(), 1), d0, 1, 2)
+        assert repr(m) == "Link(base=Insert(base=Void(), x=1), k=Dim.zero, x=1, y=2)"
+        assert repr(Void()) == "Void()"
+
+    def test_equality_compares_every_step(self):
+        m = make_map([1, 2], [(d0, 1, 2)])
+        assert m == make_map([1, 2], [(d0, 1, 2)])
+        assert hash(m) == hash(make_map([1, 2], [(d0, 1, 2)]))
+        assert m != make_map([1, 2], [(d1, 1, 2)])
+        assert m != make_map([1, 3], [(d0, 1, 3)])
+        assert m != make_map([2, 1], [(d0, 1, 2)])
+        assert m != make_map([1, 2])
+        assert Void() == Void() and Void() != Insert(Void(), 1)
+        assert m != (1, 2)
+
+    def test_deep_terms_compare_hash_and_print(self):
+        m = random_planar_map(1, 10000, 20000)
+        copy = parse_map(serialize_map(m))
+        assert copy is not m
+        assert copy == m and not copy != m
+        assert hash(copy) == hash(m)
+        assert repr(copy) == repr(m)
+        assert repr(m).startswith("Link(base=Link(base=")
+        assert repr(m).count("Insert(base=") == 10000
+        # differs only in its innermost link, ~20,000 steps down
+        first = next(n for n in history(m) if isinstance(n, Link))
+        assert break_link_back(m, first.k, first.y) != m
 
 
 class TestHasDart:

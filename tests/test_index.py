@@ -4,22 +4,30 @@ import pytest
 
 from hmap import (
     Dim,
+    Insert,
     MapError,
     Void,
     bottom,
+    break_ring,
     build_index,
+    candidate_rings,
     closed_face_predecessor,
     closed_face_successor,
     closed_predecessor,
     closed_successor,
+    exhaustive_jordan,
     face_predecessor,
     face_successor,
     has_dart,
     predecessor,
+    same_component_structural,
     successor,
     top,
 )
-from hmap.jordan import random_map
+from hmap import jordan
+from hmap.fmap import history
+from hmap.index import count_components
+from hmap.jordan import enumerate_maps, random_map, random_planar_map
 
 d0 = Dim.zero
 d1 = Dim.one
@@ -96,3 +104,40 @@ def test_odd_characteristic_is_internal_error():
     from hmap import InternalInvariantError, MapStats
     with pytest.raises(InternalInvariantError):
         MapStats.from_counts(nd=1, ne=1, nv=1, nf=0, nc=1)
+
+
+def test_count_components_matches_index_on_all_small_maps():
+    for m in enumerate_maps(4):
+        assert count_components(m) == build_index(m, check=False).stats.n_components, m
+
+
+def test_count_components_matches_index_on_every_ring_break_recount(monkeypatch):
+    recounts = []
+
+    def checked(m):
+        n = count_components(m)
+        assert n == build_index(m, check=False).stats.n_components, m
+        recounts.append(n)
+        return n
+
+    monkeypatch.setattr(jordan, "count_components", checked)
+    report = exhaustive_jordan(4, 3)
+    assert report.passed and 0 < len(recounts) == report.rings_checked
+
+
+def test_count_components_matches_structural_oracle():
+    for m in enumerate_maps(3):
+        reps = []
+        for d in (n.x for n in history(m) if isinstance(n, Insert)):
+            if not any(same_component_structural(m, r, d) for r in reps):
+                reps.append(d)
+        assert count_components(m) == len(reps), m
+
+
+@pytest.mark.parametrize("n", (1000, 2000, 3000))
+def test_count_components_on_large_planar_maps(n):
+    m = random_planar_map(n, n, 2 * n)
+    assert count_components(m) == build_index(m).stats.n_components
+    ring = next(candidate_rings(build_index(m), 4))
+    broken = break_ring(m, ring)
+    assert count_components(broken) == build_index(broken).stats.n_components
