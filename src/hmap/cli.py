@@ -50,7 +50,10 @@ def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise MapError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _fmt_bool(b: bool) -> str:

@@ -31,15 +31,28 @@ def _require(condition: bool, message: str) -> None:
         raise ConstraintError(message)
 
 
+def _link_splits_face(view, k: Dim, x: Dart, y: Dart) -> bool:
+    """Would linking ``x -> y`` at dimension ``k`` split one face into
+    two?  If not, it merges two faces into one.
+
+    ``view`` is any map view with ``same_face``, ``closed_predecessor``
+    and ``closed_successor``: an index, or an :class:`IncrementalMap`
+    before it applies the link.
+    """
+    if k is Dim.zero:
+        return view.same_face(view.closed_predecessor(Dim.one, x), y)
+    return view.same_face(x, view.closed_successor(Dim.zero, y))
+
+
+def _link_keeps_planar(view, k: Dim, x: Dart, y: Dart) -> bool:
+    """Planarity is preserved exactly when the link joins two components
+    or splits a face of the common component."""
+    return not view.same_component(x, y) or _link_splits_face(view, k, x, y)
+
+
 def _criterion(idx: HypermapIndex, k: Dim, x: Dart, y: Dart) -> bool:
     """planar now, and the link either bridges components or splits a face."""
-    if not idx.stats.planar:
-        return False
-    if not idx.same_component(x, y):
-        return True
-    if k is Dim.zero:
-        return idx.same_face(idx.closed_predecessor(Dim.one, x), y)
-    return idx.same_face(x, idx.closed_successor(Dim.zero, y))
+    return idx.stats.planar and _link_keeps_planar(idx, k, x, y)
 
 
 def planar_after_link(m: FreeMap, k: Dim, x: Dart, y: Dart, *,

@@ -2,9 +2,11 @@
 
 The recursive observers in :mod:`hmap.fmap` walk the term on every query,
 which is the right reference semantics but quadratic in bulk use.  A
-:class:`HypermapIndex` replays the term once and materializes the explicit
-links, the orbit closures, the face permutation and every orbit
-partition, answering all further queries in O(1).
+:class:`HypermapIndex` replays the term once.  It keeps the replay's
+kernel, which holds the explicit links and answers tops, bottoms and
+inverse closures in near-constant time, and materializes the closures,
+the face permutation and the four orbit partitions, answering all
+further queries in O(1).
 """
 
 from __future__ import annotations
@@ -61,16 +63,26 @@ def _cycle(perm: dict[Dart, Dart], z: Dart) -> list[Dart]:
     return cycle
 
 
-def _orbit_ids(darts: list[Dart], perm: dict[Dart, Dart]) -> dict[Dart, Dart]:
-    """Label each dart with the minimum dart of its ``perm``-cycle."""
+def _orbit_ids(darts: list[Dart], *perms: dict[Dart, Dart]) -> dict[Dart, Dart]:
+    """Label each dart with the minimum dart of its orbit under the group
+    that ``perms`` generate.
+
+    ``darts`` must be sorted: the first unlabelled dart met is then the
+    minimum of its orbit, which its forward images under ``perms`` reach
+    in full because every permutation of a finite set has finite order.
+    """
     ids: dict[Dart, Dart] = {}
     for d in darts:
         if d in ids:
             continue
-        cycle = _cycle(perm, d)
-        rep = min(cycle)
-        for z in cycle:
-            ids[z] = rep
+        ids[d] = d
+        todo = [d]
+        for z in todo:
+            for perm in perms:
+                w = perm[z]
+                if w not in ids:
+                    ids[w] = d
+                    todo.append(w)
     return ids
 
 
@@ -80,65 +92,45 @@ class HypermapIndex:
     All dictionaries are keyed by dart.  ``closure[k]`` and ``face_perm``
     are permutations of the dart set; ``*_ids`` map each dart to its
     orbit's representative (the orbit's minimum dart).  ``kernel`` is the
-    replay the index was built from; ``dart_set`` and the explicit links
-    are its own containers, and it answers the construction
-    preconditions on the indexed map.
+    replay the index was built from: ``dart_set`` and the explicit links
+    are its own containers, and it answers tops, bottoms, inverse
+    closures and the construction preconditions on the indexed map.
     """
 
     __slots__ = (
         "term", "kernel", "darts", "dart_set",
         "succ_links", "pred_links",
-        "closure", "closure_inv",
-        "face_perm", "face_perm_inv",
-        "bottoms", "tops",
+        "closure", "face_perm",
         "edge_ids", "vertex_ids", "face_ids", "component_ids",
         "stats",
     )
 
     def __init__(self, m: FreeMap, *, check: bool = True) -> None:
         kern: ChainKernel = kernel_of(m) if check else replay(m, check=False)[0]
-        chains = kern.chains
+        ch0, ch1 = kern.chains
         darts = sorted(kern.darts)
 
         self.term = m
         self.kernel = kern
         self.darts = tuple(darts)
         self.dart_set = kern.darts
-        self.succ_links = (chains[0].succ, chains[1].succ)
-        self.pred_links = (chains[0].pred, chains[1].pred)
-        self.bottoms = ({d: chains[0].bottom(d) for d in darts},
-                        {d: chains[1].bottom(d) for d in darts})
-        self.tops = ({d: chains[0].top(d) for d in darts},
-                     {d: chains[1].top(d) for d in darts})
-        self.closure = ({d: chains[0].closed_succ(d) for d in darts},
-                        {d: chains[1].closed_succ(d) for d in darts})
-        self.closure_inv = ({d: chains[0].closed_pred(d) for d in darts},
-                            {d: chains[1].closed_pred(d) for d in darts})
-        cp0, cp1 = self.closure_inv
-        self.face_perm = {d: cp1[cp0[d]] for d in darts}
-        self.face_perm_inv = {v: k for k, v in self.face_perm.items()}
+        self.succ_links = (ch0.succ, ch1.succ)
+        self.pred_links = (ch0.pred, ch1.pred)
+        self.closure = ({d: ch0.closed_succ(d) for d in darts},
+                        {d: ch1.closed_succ(d) for d in darts})
+        self.face_perm = {d: ch1.closed_pred(ch0.closed_pred(d)) for d in darts}
 
         self.edge_ids = _orbit_ids(darts, self.closure[0])
         self.vertex_ids = _orbit_ids(darts, self.closure[1])
         self.face_ids = _orbit_ids(darts, self.face_perm)
-
-        uf = UnionFind(darts)
-        for k in (0, 1):
-            for x, y in self.succ_links[k].items():
-                uf.union(x, y)
-        groups = uf.groups()
-        self.component_ids = {}
-        for members in groups.values():
-            rep = members[0]
-            for d in members:
-                self.component_ids[d] = rep
+        self.component_ids = _orbit_ids(darts, *self.closure)
 
         self.stats = MapStats.from_counts(
             nd=len(darts),
             ne=len(set(self.edge_ids.values())),
             nv=len(set(self.vertex_ids.values())),
             nf=len(set(self.face_ids.values())),
-            nc=len(groups),
+            nc=len(set(self.component_ids.values())),
         )
 
     # -- observer-shaped queries ------------------------------------------
@@ -159,16 +151,17 @@ class HypermapIndex:
         return z in self.pred_links[k.value]
 
     def top(self, k: Dim, z: Dart) -> Dart:
-        return self.tops[k.value].get(z, NIL)
+        return self.kernel.chains[k.value].top(z) if z in self.dart_set else NIL
 
     def bottom(self, k: Dim, z: Dart) -> Dart:
-        return self.bottoms[k.value].get(z, NIL)
+        return self.kernel.chains[k.value].bottom(z) if z in self.dart_set else NIL
 
     def closed_successor(self, k: Dim, z: Dart) -> Dart:
         return self.closure[k.value].get(z, NIL)
 
     def closed_predecessor(self, k: Dim, z: Dart) -> Dart:
-        return self.closure_inv[k.value].get(z, NIL)
+        return (self.kernel.chains[k.value].closed_pred(z) if z in self.dart_set
+                else NIL)
 
     def face_successor(self, z: Dart) -> Dart:
         return self.pred_links[1].get(self.pred_links[0].get(z, NIL), NIL)
@@ -180,7 +173,7 @@ class HypermapIndex:
         return self.succ_links[0].get(self.succ_links[1].get(z, NIL), NIL)
 
     def closed_face_predecessor(self, z: Dart) -> Dart:
-        return self.face_perm_inv.get(z, NIL)
+        return self.closure[0].get(self.closure[1].get(z, NIL), NIL)
 
     # -- orbit queries -----------------------------------------------------
 

@@ -185,11 +185,12 @@ def random_planar_map(seed: int, n_darts: int, n_links: int, *,
 def _connectors(idx: HypermapIndex) -> list[tuple[Dart, Dart, Dart, Dart]]:
     """(dart, edge id, face of link target, face of chain bottom) for
     every dart carrying an explicit 0-link."""
+    bottom0 = idx.kernel.chains[0].bottom
     out = []
     for x, y in idx.succ_links[0].items():
         out.append((x, idx.edge_ids[x],
                     idx.face_ids[y],
-                    idx.face_ids[idx.bottoms[0][x]]))
+                    idx.face_ids[bottom0(x)]))
     return out
 
 

@@ -107,7 +107,7 @@ def check_ring(m: FreeMap, items: RingList, *,
     vacuously on the empty list, which is invalid only for being empty.
     """
     idx = ensure_index(m, index)
-    succ0, bottom0 = idx.succ_links[0], idx.bottoms[0]
+    succ0, bottom0 = idx.succ_links[0], idx.kernel.chains[0].bottom
     edge_ids, face_ids = idx.edge_ids, idx.face_ids
     # per item: (identified face, opposite face), None without a 0-link
     sides: list[Sides] = []
@@ -122,7 +122,7 @@ def check_ring(m: FreeMap, items: RingList, *,
             sides.append(None)
             edge_clash = edge_clash or (i,)
         else:
-            fy, f0 = face_ids[y], face_ids[bottom0[item.x]]
+            fy, f0 = face_ids[y], face_ids[bottom0(item.x)]
             here = (fy, f0) if item.flag else (f0, fy)
             sides.append(here)
             j = first_edge.setdefault(edge_ids[item.x], i)

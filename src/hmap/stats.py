@@ -24,6 +24,7 @@ from .fmap import (
     Void,
     history,
 )
+from .criteria import _link_keeps_planar, _link_splits_face
 from .index import HypermapIndex, MapStats, _cycle, ensure_index
 from .unionfind import UnionFind
 
@@ -156,7 +157,7 @@ class IncrementalMap(ChainKernel):
     split test doubles as the planarity-preservation test.
     """
 
-    __slots__ = ("components", "face_next", "face_prev",
+    __slots__ = ("components", "face_next",
                  "n_darts", "n_edges", "n_vertices", "n_faces", "n_components",
                  "_term")
 
@@ -164,7 +165,6 @@ class IncrementalMap(ChainKernel):
         super().__init__()
         self.components = UnionFind()
         self.face_next: dict[Dart, Dart] = {}
-        self.face_prev: dict[Dart, Dart] = {}
         self.n_darts = 0
         self.n_edges = 0
         self.n_vertices = 0
@@ -200,37 +200,25 @@ class IncrementalMap(ChainKernel):
 
     # The kernel's link checks, bound in this class body as well, so that
     # the class lists them as its own methods: per-class instrumentation
-    # (such as the benchmark's tracer) sees every link attempt.
+    # (such as the benchmark's tracer) sees every link attempt.  The
+    # criteria's face-split and planarity-preservation tests are bound
+    # the same way; both are evaluated before the link mutates anything.
     link_violation = ChainKernel.link_violation
     can_link = ChainKernel.can_link
+    link_splits_face = _link_splits_face
+    link_keeps_planar = _link_keeps_planar
 
     def insert(self, x: Dart) -> None:
         self.require_insert(x)
         self.add_dart(x)
         self.components.add(x)
         self.face_next[x] = x
-        self.face_prev[x] = x
         self.n_darts += 1
         self.n_edges += 1
         self.n_vertices += 1
         self.n_faces += 1
         self.n_components += 1
         self._term = Insert(self._term, x)
-
-    def link_splits_face(self, k: Dim, x: Dart, y: Dart) -> bool:
-        """Would linking x->y at dim k split one face into two?
-
-        If not, it merges two faces into one.  Evaluated on the current
-        map, before any mutation.
-        """
-        if k is Dim.zero:
-            return self.same_face(self.chains[1].closed_pred(x), y)
-        return self.same_face(x, self.chains[0].closed_succ(y))
-
-    def link_keeps_planar(self, k: Dim, x: Dart, y: Dart) -> bool:
-        """Planarity is preserved exactly when the link joins two
-        components or splits a face of the common component."""
-        return (not self.components.same(x, y)) or self.link_splits_face(k, x, y)
 
     def link(self, k: Dim, x: Dart, y: Dart) -> None:
         self.require_link(k, x, y)
@@ -245,8 +233,8 @@ class IncrementalMap(ChainKernel):
             a1_inv_x = self.chains[1].closed_pred(x)
             a1_inv_t0y = self.chains[1].closed_pred(t0y)
             self.chains[0].link(x, y)
-            self._set_face(y, a1_inv_x)
-            self._set_face(b0x, a1_inv_t0y)
+            self.face_next[y] = a1_inv_x
+            self.face_next[b0x] = a1_inv_t0y
             self.n_edges -= 1
         else:
             b1x = self.chains[1].bottom(x)
@@ -254,20 +242,14 @@ class IncrementalMap(ChainKernel):
             a0_y = self.chains[0].closed_succ(y)
             a0_b1x = self.chains[0].closed_succ(b1x)
             self.chains[1].link(x, y)
-            self._set_face(a0_y, x)
-            self._set_face(a0_b1x, t1y)
+            self.face_next[a0_y] = x
+            self.face_next[a0_b1x] = t1y
             self.n_vertices -= 1
 
         self.n_faces += 1 if splits else -1
         if merged_components:
             self.n_components -= 1
         self._term = Link(self._term, k, x, y)
-
-    def _set_face(self, z: Dart, target: Dart) -> None:
-        # rewires face_next[z] = target keeping face_prev consistent;
-        # the two rewires of one link always form a valid permutation again
-        self.face_next[z] = target
-        self.face_prev[target] = z
 
     # -- exports ---------------------------------------------------------------
 

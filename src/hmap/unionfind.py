@@ -1,4 +1,4 @@
-"""Small disjoint-set forest used for orbit and component bookkeeping."""
+"""Small disjoint-set forest used for component bookkeeping."""
 
 from __future__ import annotations
 
@@ -43,12 +43,3 @@ class UnionFind:
 
     def same(self, a, b) -> bool:
         return self.find(a) == self.find(b)
-
-    def groups(self) -> dict:
-        """Root -> sorted members, for every tracked item."""
-        out: dict = {}
-        for x in self._parent:
-            out.setdefault(self.find(x), []).append(x)
-        for members in out.values():
-            members.sort()
-        return out

@@ -171,6 +171,19 @@ def test_dot(files, tmp_path):
     assert out.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("target", ["missing/x.out", "."])
+@pytest.mark.parametrize("cmd", ["gen", "break", "dot"])
+def test_unwritable_out_exits_2(files, tmp_path, capsys, cmd, target):
+    # a file in a directory that does not exist, and a directory itself
+    out = str(tmp_path / target)
+    argv = {"gen": ["gen", "--darts", "3", "--links", "2", "--seed", "1"],
+            "break": ["break", files["digon"], files["digon_ring"]],
+            "dot": ["dot", files["digon"]]}[cmd]
+    assert run_cli(argv + ["-o", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli([]) == 2
     assert run_cli(["frobnicate"]) == 2

@@ -90,7 +90,8 @@ def test_reference_agreement_randomized(seed):
 def test_face_permutation_composition(fixture15):
     idx = build_index(fixture15)
     for z in idx.darts:
-        assert idx.face_perm[z] == idx.closure_inv[1][idx.closure_inv[0][z]]
+        assert idx.face_perm[z] == idx.closed_predecessor(
+            Dim.one, idx.closed_predecessor(Dim.zero, z))
 
 
 def test_index_refuses_foreign_term(two_dart_edge, digon):

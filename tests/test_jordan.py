@@ -217,6 +217,26 @@ class TestEnumeration:
             seen.add(m)
         assert len(seen) == 11 + 13 * 13
 
+    def test_closure_pairs_complete(self):
+        # On n darts the (closure[0], closure[1]) pairs must be all n!^2
+        # pairs of permutations, and the connected planar ones must number
+        # (n-1)! W(n), where W(n) = 3 2^(n-1) (2n)! / (n! (n+2)!) counts
+        # rooted planar hypermaps (Walsh, JCT B 18, 1975; OEIS A000257).
+        from math import factorial
+        connected_planar: dict[int, dict[tuple, bool]] = {n: {} for n in range(1, 5)}
+        for m in enumerate_maps(4):
+            idx = build_index(m)
+            if idx.darts:
+                pair = tuple(tuple(idx.closure[k][d] for d in idx.darts) for k in (0, 1))
+                connected_planar[len(idx.darts)][pair] = (
+                    idx.stats.planar and idx.stats.n_components == 1)
+        for n, seen in connected_planar.items():
+            walsh = (3 * 2 ** (n - 1) * factorial(2 * n)
+                     // (factorial(n) * factorial(n + 2)))
+            assert len(seen) == factorial(n) ** 2
+            assert sum(seen.values()) == factorial(n - 1) * walsh
+        assert [sum(s.values()) for s in connected_planar.values()] == [1, 3, 24, 336]
+
     def test_exhaustive_jordan_tiny(self):
         rep = exhaustive_jordan(3, 3)
         assert rep.passed, rep.summary()

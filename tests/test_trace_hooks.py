@@ -1,0 +1,51 @@
+"""The benchmark's tracer still wraps, counts and unwraps ``hmap``.
+
+``hmapbench/tracer.py`` wraps ``hmap`` from outside by name: every public
+function of the modules it lists (``hmap.unionfind`` among them), every
+public method of ``HypermapIndex`` and ``IncrementalMap``, and a hook on
+``HypermapIndex.__init__`` that reads the new index's ``darts``.  A
+refactor of ``hmap`` can break ``run.py --trace 1`` without any other
+test noticing; this runs the tracer on one small sweep.
+"""
+
+import importlib
+import sys
+import time
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "hmapbench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import hmap  # noqa: E402
+from hmap.index import HypermapIndex  # noqa: E402
+from hmap.stats import IncrementalMap  # noqa: E402
+from tracer import MODULES, Tracer  # noqa: E402
+
+
+def _bindings() -> dict[tuple[int, str], object]:
+    owners = [hmap, HypermapIndex, IncrementalMap,
+              *(importlib.import_module(f"hmap.{name}") for name in MODULES)]
+    return {(id(owner), name): obj
+            for owner in owners for name, obj in vars(owner).items()}
+
+
+def test_tracer_counts_a_sweep_and_restores_hmap():
+    before = _bindings()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert hmap.exhaustive_jordan is not before[(id(hmap), "exhaustive_jordan")]
+        t0 = time.perf_counter()
+        report = hmap.exhaustive_jordan(3, 3)
+        busy = time.perf_counter() - t0
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+
+    assert report.passed and report.maps_seen == 180
+    metrics = tracer.metrics(1, busy, 1.0)
+    assert metrics["index.builds"][0] == report.maps_seen
+    assert metrics["rings.breaks"][0] == 136
+    assert after.keys() == before.keys()
+    assert all(after[key] is obj for key, obj in before.items())
