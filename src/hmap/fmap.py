@@ -8,6 +8,9 @@ dimension's explicit links acyclic, so each orbit is an open chain with a
 well defined ``bottom`` and ``top``; the missing wrap-around step of each
 chain is recovered by ``closed_successor``/``closed_predecessor``, under
 which a well-formed term presents as a pair of permutations of its darts.
+A link joins the top of one chain to the bottom of another, so the
+closure of a chain reads only its two ends; the chain kernel
+(``ChainKernel``) replays a term by pairing those ends.
 
 Observers are total: queries about the reserved nil dart or about darts
 that were never inserted answer nil (or False) instead of raising.
@@ -299,64 +302,55 @@ def closed_face_predecessor(m: FreeMap, z: Dart) -> Dart:
 # the chain kernel: construction preconditions, replay, well-formedness
 
 class ChainTracker:
-    """Union-find over the explicit links of one dimension.
+    """The open chains of one dimension, tracked by their two ends.
 
-    Each disjoint set is one open chain, and its root is the chain's
-    bottom: a link ``x -> y`` joins the top ``x`` of one chain to the
-    bottom ``y`` of another and hangs ``y``'s set under the root of
-    ``x``'s.  The top of a chain of two or more darts is kept on its
-    root, so closures are answered in near-constant time.  Links only
-    ever merge chains, which is all checked construction needs.
+    ``end`` pairs each chain's bottom with its top and its top with its
+    bottom; a lone dart is paired with itself.  A link ``x -> y`` joins
+    the top ``x`` of one chain to the bottom ``y`` of another, so only
+    ends are ever read: the closures need the far end of a dart without
+    a successor (a top) or without a predecessor (a bottom).  The entry
+    of a dart that a link made inner is stale and never read.
     """
 
-    __slots__ = ("succ", "pred", "_parent", "_top")
+    __slots__ = ("succ", "pred", "end")
 
     def __init__(self) -> None:
         self.succ: dict[Dart, Dart] = {}
         self.pred: dict[Dart, Dart] = {}
-        self._parent: dict[Dart, Dart] = {}
-        self._top: dict[Dart, Dart] = {}
+        self.end: dict[Dart, Dart] = {}
 
     def add(self, x: Dart) -> None:
-        self._parent[x] = x
-
-    def bottom(self, z: Dart) -> Dart:
-        p = self._parent
-        while p[z] != z:
-            p[z] = p[p[z]]
-            z = p[z]
-        return z
-
-    def top(self, z: Dart) -> Dart:
-        r = self.bottom(z)
-        return self._top.get(r, r)
+        self.end[x] = x
 
     def closed_succ(self, z: Dart) -> Dart:
-        s = self.succ.get(z, NIL)
-        return s if s != NIL else self.bottom(z)
+        s = self.succ.get(z)
+        return self.end[z] if s is None else s
 
     def closed_pred(self, z: Dart) -> Dart:
-        s = self.pred.get(z, NIL)
-        return s if s != NIL else self.top(z)
+        s = self.pred.get(z)
+        return self.end[z] if s is None else s
 
     def link(self, x: Dart, y: Dart) -> None:
-        # caller guarantees: x has no successor, y no predecessor, and the
-        # two chains are distinct (otherwise the link would close a cycle)
-        rx, ry = self.bottom(x), self.bottom(y)
-        if rx == ry:
+        # caller guarantees: x is a top and y a bottom; they are the two
+        # ends of one chain exactly when the link would close a cycle
+        end = self.end
+        bottom, top = end[x], end[y]
+        if bottom == y:
             raise InternalInvariantError(f"link {x}->{y} would close a chain")
         self.succ[x] = y
         self.pred[y] = x
-        self._parent[ry] = rx
-        self._top[rx] = self._top.pop(ry, ry)
+        end[bottom] = top
+        end[top] = bottom
 
 
 class ChainKernel:
     """The dart set and the open chains of both dimensions.
 
-    This is the one statement of the construction preconditions and of
-    their messages.  Replaying a term through a kernel is the
-    well-formedness check and the first pass of every index;
+    Each dimension is a :class:`ChainTracker`, so every step and every
+    closure is a constant number of dict operations.  This is the one
+    statement of the construction preconditions and of their messages.
+    Replaying a term through a kernel is the well-formedness check and
+    the first pass of every index;
     :class:`hmap.stats.IncrementalMap` extends the kernel; the term-level
     checks and checked builders ask the kernel of their base map.
     """

@@ -3,10 +3,9 @@
 The recursive observers in :mod:`hmap.fmap` walk the term on every query,
 which is the right reference semantics but quadratic in bulk use.  A
 :class:`HypermapIndex` replays the term once.  It keeps the replay's
-kernel, which holds the explicit links and answers tops, bottoms and
-inverse closures in near-constant time, and materializes the closures,
-the face permutation and the four orbit partitions, answering all
-further queries in O(1).
+kernel, which holds the explicit links and pairs the two ends of every
+open chain, and materializes the closures, the face permutation and the
+four orbit partitions, answering all further queries in O(1).
 """
 
 from __future__ import annotations
@@ -63,16 +62,18 @@ def _cycle(perm: dict[Dart, Dart], z: Dart) -> list[Dart]:
     return cycle
 
 
-def _orbit_ids(darts: list[Dart], *perms: dict[Dart, Dart]) -> dict[Dart, Dart]:
-    """Label each dart with the minimum dart of its orbit under the group
-    that ``perms`` generate.
+def _orbit_ids(starts: list[Dart], *perms: dict[Dart, Dart]) -> dict[Dart, Dart]:
+    """Label each dart with the first of ``starts`` in its orbit under the
+    group that ``perms`` generate.
 
-    ``darts`` must be sorted: the first unlabelled dart met is then the
-    minimum of its orbit, which its forward images under ``perms`` reach
-    in full because every permutation of a finite set has finite order.
+    Every orbit must hold a start.  The forward images of a start under
+    ``perms`` reach its orbit in full, because every permutation of a
+    finite set has finite order.  With the sorted darts as ``starts`` the
+    label is the orbit's minimum dart; with the darts that have no
+    predecessor in one dimension, it is the bottom of the dart's chain.
     """
     ids: dict[Dart, Dart] = {}
-    for d in darts:
+    for d in starts:
         if d in ids:
             continue
         ids[d] = d
@@ -91,10 +92,12 @@ class HypermapIndex:
 
     All dictionaries are keyed by dart.  ``closure[k]`` and ``face_perm``
     are permutations of the dart set; ``*_ids`` map each dart to its
-    orbit's representative (the orbit's minimum dart).  ``kernel`` is the
-    replay the index was built from: ``dart_set`` and the explicit links
-    are its own containers, and it answers tops, bottoms, inverse
-    closures and the construction preconditions on the indexed map.
+    orbit's representative: the bottom of its open chain for edges and
+    vertices, the orbit's minimum dart for faces and components.
+    ``kernel`` is the replay the index was built from: ``dart_set`` and
+    the explicit links are its own containers, and it answers tops,
+    inverse closures and the construction preconditions on the indexed
+    map.
     """
 
     __slots__ = (
@@ -120,8 +123,10 @@ class HypermapIndex:
                         {d: ch1.closed_succ(d) for d in darts})
         self.face_perm = {d: ch1.closed_pred(ch0.closed_pred(d)) for d in darts}
 
-        self.edge_ids = _orbit_ids(darts, self.closure[0])
-        self.vertex_ids = _orbit_ids(darts, self.closure[1])
+        self.edge_ids = _orbit_ids([d for d in darts if d not in ch0.pred],
+                                   self.closure[0])
+        self.vertex_ids = _orbit_ids([d for d in darts if d not in ch1.pred],
+                                     self.closure[1])
         self.face_ids = _orbit_ids(darts, self.face_perm)
         self.component_ids = _orbit_ids(darts, *self.closure)
 
@@ -151,10 +156,11 @@ class HypermapIndex:
         return z in self.pred_links[k.value]
 
     def top(self, k: Dim, z: Dart) -> Dart:
-        return self.kernel.chains[k.value].top(z) if z in self.dart_set else NIL
+        b = self.bottom(k, z)
+        return self.kernel.chains[k.value].end[b] if b != NIL else NIL
 
     def bottom(self, k: Dim, z: Dart) -> Dart:
-        return self.kernel.chains[k.value].bottom(z) if z in self.dart_set else NIL
+        return (self.edge_ids, self.vertex_ids)[k.value].get(z, NIL)
 
     def closed_successor(self, k: Dim, z: Dart) -> Dart:
         return self.closure[k.value].get(z, NIL)

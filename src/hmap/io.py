@@ -20,6 +20,7 @@ import contextlib
 
 from .fmap import Dim, FreeMap, Insert, Link, MapError, Void, history
 from .index import HypermapIndex, ensure_index
+from .orbits import OrbitKind, all_orbits
 from .rings import RingItem, RingList
 
 MAP_HEADER = "hmap 1"
@@ -109,15 +110,11 @@ def to_dot(m: FreeMap, *, index: HypermapIndex | None = None) -> str:
     """DOT rendering: one cluster per component, explicit 0-links solid,
     explicit 1-links dashed."""
     idx = ensure_index(m, index)
-    by_comp: dict[int, list[int]] = {}
-    for d in idx.darts:
-        by_comp.setdefault(idx.component_ids[d], []).append(d)
     out = ["digraph hypermap {", "  rankdir=LR;", "  node [shape=circle];"]
-    for n, rep in enumerate(sorted(by_comp)):
+    for n, comp in enumerate(all_orbits(m, OrbitKind.component, index=idx)):
         out.append(f"  subgraph cluster_{n} {{")
-        out.append(f'    label="component {rep}";')
-        for d in sorted(by_comp[rep]):
-            out.append(f"    {d};")
+        out.append(f'    label="component {comp.representative}";')
+        out.extend(f"    {d};" for d in comp.members)
         out.append("  }")
     for x in sorted(idx.succ_links[0]):
         out.append(f"  {x} -> {idx.succ_links[0][x]} [style=solid];")

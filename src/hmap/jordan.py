@@ -121,18 +121,21 @@ def random_map(seed: int, n_darts: int, n_link_attempts: int) -> FreeMap:
     return inc.term()
 
 
-def random_planar_map(seed: int, n_darts: int, n_links: int, *,
-                      move_weights: tuple[int, int, int] = (2, 3, 3)) -> FreeMap:
+def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
     """Deterministic random planar map.
 
     Inserts darts 1..n, then mixes three kinds of planarity-preserving
-    links until ``n_links`` are placed or the attempt budget runs out:
-    a bridge between two components, a face split at dimension zero, and
-    a face split at dimension one.  ``move_weights`` sets the mix.
+    links, in the weights 2:3:3, until ``n_links`` are placed or the
+    attempt budget runs out: a bridge between two components, a face
+    split at dimension zero, and a face split at dimension one.
     Isolated darts are planar, bridges keep the characteristic identity
     across the merge, and splits add one face inside one component, so
     every intermediate map is planar by construction.
     """
+    if n_darts < 0:
+        raise ConstraintError(f"dart count {n_darts} is negative")
+    if n_links < 0:
+        raise ConstraintError(f"link count {n_links} is negative")
     if n_links > 2 * n_darts:
         raise ConstraintError(
             f"{n_links} links is impossible with {n_darts} darts "
@@ -141,7 +144,7 @@ def random_planar_map(seed: int, n_darts: int, n_links: int, *,
     inc = IncrementalMap()
     for d in range(1, n_darts + 1):
         inc.insert(d)
-    if n_darts == 0 or n_links <= 0:
+    if n_links == 0:
         return inc.term()
 
     moves = ["bridge", "split0", "split1"]
@@ -149,7 +152,7 @@ def random_planar_map(seed: int, n_darts: int, n_links: int, *,
     budget = 10 * n_links + 20
     while placed < n_links and budget > 0:
         budget -= 1
-        move = rng.choices(moves, weights=move_weights)[0]
+        move = rng.choices(moves, weights=(2, 3, 3))[0]
         if move == "bridge":
             x = rng.randint(1, n_darts)
             y = rng.randint(1, n_darts)
@@ -184,14 +187,10 @@ def random_planar_map(seed: int, n_darts: int, n_links: int, *,
 
 def _connectors(idx: HypermapIndex) -> list[tuple[Dart, Dart, Dart, Dart]]:
     """(dart, edge id, face of link target, face of chain bottom) for
-    every dart carrying an explicit 0-link."""
-    bottom0 = idx.kernel.chains[0].bottom
-    out = []
-    for x, y in idx.succ_links[0].items():
-        out.append((x, idx.edge_ids[x],
-                    idx.face_ids[y],
-                    idx.face_ids[bottom0(x)]))
-    return out
+    every dart carrying an explicit 0-link; the edge id is the bottom."""
+    edge_ids, face_ids = idx.edge_ids, idx.face_ids
+    return [(x, edge_ids[x], face_ids[y], face_ids[edge_ids[x]])
+            for x, y in idx.succ_links[0].items()]
 
 
 def find_ring(m: FreeMap, max_len: int, seed: int, *,
@@ -346,15 +345,17 @@ def _witness_dir(explicit: str | None) -> str | None:
 
 
 def fuzz_jordan(trials: int, seed: int, size_bound: int, *,
-                max_ring_len: int = 4,
                 witness_dir: str | None = None) -> FuzzReport:
-    """Generate planar maps, hunt for rings, and check the break law on
-    every ring found, together with the two supporting lemmas.
+    """Generate planar maps, hunt for rings of at most 4 items, and check
+    the break law on every ring found, together with the two supporting
+    lemmas.
 
     The (trials, seed, size_bound) triple fully determines every trial.
     Failing (map, ring) pairs are persisted to ``witness_dir`` (or the
     directory named by HMAP_WITNESS_DIR) when one is configured.
     """
+    if trials < 0:
+        raise ConstraintError(f"trial count {trials} is negative")
     report = FuzzReport(trials=trials)
     wdir = _witness_dir(witness_dir)
     master = random.Random(seed)
@@ -366,7 +367,7 @@ def fuzz_jordan(trials: int, seed: int, size_bound: int, *,
         n_links = rng.randint(n_darts // 2, link_budget)
         m = random_planar_map(trial_seed, n_darts, n_links)
         idx = build_index(m, check=False)
-        ring = find_ring(m, max_ring_len, trial_seed, index=idx)
+        ring = find_ring(m, 4, trial_seed, index=idx)
         if ring is None:
             continue
         report.rings_found += 1
@@ -407,29 +408,23 @@ def _path_systems(darts: Sequence[Dart]) -> Iterator[dict[Dart, Dart]]:
     n = len(darts)
     succ: dict[Dart, Dart] = {}
     has_pred: set[Dart] = set()
-    parent = {d: d for d in darts}
-
-    def find(a: Dart) -> Dart:
-        # no path compression: choices must be undoable
-        while parent[a] != a:
-            a = parent[a]
-        return a
+    end = {d: d for d in darts}  # chain ends paired as in ChainTracker
 
     def rec(i: int) -> Iterator[dict[Dart, Dart]]:
         if i == n:
             yield dict(succ)
             return
-        x = darts[i]
+        x = darts[i]  # no successor yet: the top of its chain
         yield from rec(i + 1)
         for y in darts:
-            if y in has_pred or find(x) == find(y):
+            if y in has_pred or end[x] == y:
                 continue
-            root_y = find(y)
+            bottom, top = end[x], end[y]
             succ[x] = y
             has_pred.add(y)
-            parent[root_y] = find(x)
+            end[bottom], end[top] = top, bottom
             yield from rec(i + 1)
-            parent[root_y] = root_y
+            end[bottom], end[top] = x, y
             has_pred.discard(y)
             del succ[x]
 

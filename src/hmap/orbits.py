@@ -51,9 +51,8 @@ def orbit(m: FreeMap, kind: OrbitKind, z: Dart, *,
         raise ConstraintError(f"dart {z} does not exist")
     if kind is OrbitKind.component:
         rep = idx.component_ids[z]
-        members = tuple(sorted(d for d in idx.darts
-                               if idx.component_ids[d] == rep))
-        return Orbit(kind, rep, members)
+        return Orbit(kind, rep,
+                     tuple(d for d in idx.darts if idx.component_ids[d] == rep))
     cycle = _cycle(_perm_of(idx, kind), z)
     return Orbit(kind, min(cycle), tuple(cycle))
 
@@ -63,18 +62,21 @@ def all_orbits(m: FreeMap, kind: OrbitKind, *,
     """Every ``kind`` orbit, sorted by representative; cycles are walked
     from their representative."""
     idx = ensure_index(m, index)
+    # idx.darts is sorted, so each orbit is first met at its minimum dart
     if kind is OrbitKind.component:
         by_rep: dict[Dart, list[Dart]] = {}
         for d in idx.darts:
             by_rep.setdefault(idx.component_ids[d], []).append(d)
-        return [Orbit(kind, rep, tuple(sorted(members)))
-                for rep, members in sorted(by_rep.items())]
+        return [Orbit(kind, rep, tuple(members)) for rep, members in by_rep.items()]
     perm = _perm_of(idx, kind)
-    ids = {OrbitKind.edge: idx.edge_ids,
-           OrbitKind.vertex: idx.vertex_ids,
-           OrbitKind.face: idx.face_ids}[kind]
-    return [Orbit(kind, rep, tuple(_cycle(perm, rep)))
-            for rep in sorted(set(ids.values()))]
+    seen: set[Dart] = set()
+    out = []
+    for d in idx.darts:
+        if d not in seen:
+            cycle = _cycle(perm, d)
+            seen.update(cycle)
+            out.append(Orbit(kind, d, tuple(cycle)))
+    return out
 
 
 def same_orbit(m: FreeMap, kind: OrbitKind, a: Dart, b: Dart, *,

@@ -107,8 +107,7 @@ def check_ring(m: FreeMap, items: RingList, *,
     vacuously on the empty list, which is invalid only for being empty.
     """
     idx = ensure_index(m, index)
-    succ0, bottom0 = idx.succ_links[0], idx.kernel.chains[0].bottom
-    edge_ids, face_ids = idx.edge_ids, idx.face_ids
+    succ0, edge_ids, face_ids = idx.succ_links[0], idx.edge_ids, idx.face_ids
     # per item: (identified face, opposite face), None without a 0-link
     sides: list[Sides] = []
     first_edge: dict[Dart, int] = {}
@@ -122,10 +121,11 @@ def check_ring(m: FreeMap, items: RingList, *,
             sides.append(None)
             edge_clash = edge_clash or (i,)
         else:
-            fy, f0 = face_ids[y], face_ids[bottom0(item.x)]
+            x0 = edge_ids[item.x]  # the bottom of the item's 0-chain
+            fy, f0 = face_ids[y], face_ids[x0]
             here = (fy, f0) if item.flag else (f0, fy)
             sides.append(here)
-            j = first_edge.setdefault(edge_ids[item.x], i)
+            j = first_edge.setdefault(x0, i)
             if j != i:
                 edge_clash = edge_clash or (j, i)
             j = first_face.setdefault(here[0], i)

@@ -227,21 +227,21 @@ class IncrementalMap(ChainKernel):
         splits = self.link_splits_face(k, x, y)
         merged_components = self.components.union(x, y)
 
+        # x is a top and y a bottom, so their closures are the far ends
+        c0, c1 = self.chains
         if k is Dim.zero:
-            b0x = self.chains[0].bottom(x)
-            t0y = self.chains[0].top(y)
-            a1_inv_x = self.chains[1].closed_pred(x)
-            a1_inv_t0y = self.chains[1].closed_pred(t0y)
-            self.chains[0].link(x, y)
+            b0x, t0y = c0.closed_succ(x), c0.closed_pred(y)
+            a1_inv_x = c1.closed_pred(x)
+            a1_inv_t0y = c1.closed_pred(t0y)
+            c0.link(x, y)
             self.face_next[y] = a1_inv_x
             self.face_next[b0x] = a1_inv_t0y
             self.n_edges -= 1
         else:
-            b1x = self.chains[1].bottom(x)
-            t1y = self.chains[1].top(y)
-            a0_y = self.chains[0].closed_succ(y)
-            a0_b1x = self.chains[0].closed_succ(b1x)
-            self.chains[1].link(x, y)
+            b1x, t1y = c1.closed_succ(x), c1.closed_pred(y)
+            a0_y = c0.closed_succ(y)
+            a0_b1x = c0.closed_succ(b1x)
+            c1.link(x, y)
             self.face_next[a0_y] = x
             self.face_next[a0_b1x] = t1y
             self.n_vertices -= 1

@@ -158,6 +158,19 @@ def test_gen_impossible_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, blamed", [
+    (["fuzz", "--trials", "-3", "--seed", "2", "--size", "10"], "trial count -3"),
+    (["gen", "--darts", "5", "--links", "-2", "--seed", "1"], "link count -2"),
+    (["gen", "--darts", "-4", "--links", "0", "--seed", "1"], "dart count -4"),
+])
+def test_negative_counts_exit_2(argv, blamed, capsys):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert blamed in captured.err
+
+
 def test_fuzz_small(capsys):
     assert run_cli(["fuzz", "--trials", "20", "--seed", "2", "--size", "10"]) == 0
     out = capsys.readouterr().out

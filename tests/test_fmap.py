@@ -9,6 +9,7 @@ from hmap import (
     ConstraintError,
     Dim,
     Insert,
+    InternalInvariantError,
     Link,
     MapError,
     Void,
@@ -39,7 +40,7 @@ from hmap import (
     unlink_back,
     well_formed_violation,
 )
-from hmap.fmap import history
+from hmap.fmap import history, replay
 from hmap.io import parse_map, serialize_map
 from hmap.jordan import enumerate_maps, random_planar_map
 
@@ -297,6 +298,14 @@ class TestWellFormed:
         # tack a closing link onto an otherwise fine map
         bad = Link(digon, d0, 2, 1)
         assert not is_well_formed(bad)
+
+    def test_unchecked_replay_refuses_to_close_a_chain(self, digon):
+        # the kernel's own guard, which a checked replay never reaches
+        chain3 = make_map([1, 2, 3], [(d0, 1, 2), (d0, 2, 3)])
+        for bad in (Link(Insert(Void(), 1), d0, 1, 1), Link(digon, d0, 2, 1),
+                    Link(chain3, d0, 3, 1)):
+            with pytest.raises(InternalInvariantError, match="would close a chain"):
+                replay(bad, check=False)
 
     def test_checked_construction_always_well_formed(self, fixture15, digon, torus_quad):
         for m in (fixture15, digon, torus_quad):

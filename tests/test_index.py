@@ -81,6 +81,12 @@ def test_reference_agreement_on_fixtures(fixture15, digon, torus_quad, two_dart_
         assert_index_matches_reference(m)
 
 
+def test_reference_agreement_on_all_small_maps():
+    # every top and bottom of an inner dart, on every chain shape
+    for m in enumerate_maps(4):
+        assert_index_matches_reference(m)
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_reference_agreement_randomized(seed):
     m = random_map(seed, 5 + seed % 14, 2 * seed + 5)
