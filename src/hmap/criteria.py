@@ -15,14 +15,7 @@ test that touches them.
 
 from __future__ import annotations
 
-from .fmap import (
-    ConstraintError,
-    Dart,
-    Dim,
-    FreeMap,
-    break_link,
-    successor,
-)
+from .fmap import NIL, ConstraintError, Dart, Dim, FreeMap, break_link
 from .index import HypermapIndex, build_index, ensure_index, require_well_formed
 
 
@@ -35,9 +28,8 @@ def _link_splits_face(view, k: Dim, x: Dart, y: Dart) -> bool:
     """Would linking ``x -> y`` at dimension ``k`` split one face into
     two?  If not, it merges two faces into one.
 
-    ``view`` is any map view with ``same_face``, ``closed_predecessor``
-    and ``closed_successor``: an index, or an :class:`IncrementalMap`
-    before it applies the link.
+    ``view`` is any kernel with ``same_face``: an index, or an
+    :class:`IncrementalMap` before it applies the link.
     """
     if k is Dim.zero:
         return view.same_face(view.closed_predecessor(Dim.one, x), y)
@@ -63,7 +55,7 @@ def planar_after_link(m: FreeMap, k: Dim, x: Dart, y: Dart, *,
     ``is_planar(link(m, k, x, y))``.
     """
     idx = ensure_index(m, index)
-    idx.kernel.require_link(k, x, y)
+    idx.require_link(k, x, y)
     return _criterion(idx, k, x, y)
 
 
@@ -76,9 +68,8 @@ def planar_from_break(m: FreeMap, k: Dim, x: Dart, *,
     ``is_planar(m)``; the point of the indirection is that it needs only
     the broken map, which is how the ring induction looks at breaks.
     """
-    require_well_formed(m, index)
-    y = successor(m, k, x)
-    _require(y != 0, f"dart {x} has no {k.value}-successor")
+    y = require_well_formed(m, index).successor(k, x)
+    _require(y != NIL, f"dart {x} has no {k.value}-successor")
     m0 = break_link(m, k, x)
     idx0 = build_index(m0, check=False)
     return _criterion(idx0, k, x, y)

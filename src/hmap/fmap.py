@@ -10,7 +10,9 @@ chain is recovered by ``closed_successor``/``closed_predecessor``, under
 which a well-formed term presents as a pair of permutations of its darts.
 A link joins the top of one chain to the bottom of another, so the
 closure of a chain reads only its two ends; the chain kernel
-(``ChainKernel``) replays a term by pairing those ends.
+(``ChainKernel``) replays a term by pairing those ends, and answers the
+observers below, except ``top`` and ``bottom``, in constant time.  The
+observers here walk the term and stay the reference semantics.
 
 Observers are total: queries about the reserved nil dart or about darts
 that were never inserted answer nil (or False) instead of raising.
@@ -220,20 +222,21 @@ def has_predecessor(m: FreeMap, k: Dim, z: Dart) -> bool:
     return predecessor(m, k, z) != NIL
 
 
-def top(m: FreeMap, k: Dim, z: Dart) -> Dart:
-    """Endpoint of ``z``'s open k-chain in the successor direction.
+def _chain_end(m: FreeMap, k: Dim, z: Dart,
+               step: Callable[[FreeMap, Dim, Dart], Dart]) -> Dart:
+    """Last dart of ``z``'s open k-chain in the direction of ``step``
+    (``successor`` or ``predecessor``).
 
-    The top is the unique dart of the chain without an explicit
-    k-successor.  Returns nil for a dart not in the map, and also on a
-    malformed term whose explicit k-links cycle through ``z`` (no such
-    endpoint exists there).
+    Returns nil for a dart not in the map, and also on a malformed term
+    whose explicit k-links cycle through ``z`` (no such endpoint exists
+    there).
     """
     if not has_dart(m, z):
         return NIL
     seen = {z}
     cur = z
     while True:
-        nxt = successor(m, k, cur)
+        nxt = step(m, k, cur)
         if nxt == NIL:
             return cur
         if nxt in seen:
@@ -242,40 +245,27 @@ def top(m: FreeMap, k: Dim, z: Dart) -> Dart:
         cur = nxt
 
 
+def top(m: FreeMap, k: Dim, z: Dart) -> Dart:
+    """Endpoint of ``z``'s open k-chain in the successor direction: the
+    unique dart of the chain without an explicit k-successor."""
+    return _chain_end(m, k, z, successor)
+
+
 def bottom(m: FreeMap, k: Dim, z: Dart) -> Dart:
     """Endpoint of ``z``'s open k-chain in the predecessor direction."""
-    if not has_dart(m, z):
-        return NIL
-    seen = {z}
-    cur = z
-    while True:
-        prv = predecessor(m, k, cur)
-        if prv == NIL:
-            return cur
-        if prv in seen:
-            return NIL
-        seen.add(prv)
-        cur = prv
+    return _chain_end(m, k, z, predecessor)
 
 
 def closed_successor(m: FreeMap, k: Dim, z: Dart) -> Dart:
     """k-successor under the orbit closure: the explicit link when there is
     one, otherwise the wrap-around from the chain's top to its bottom."""
     s = successor(m, k, z)
-    if s != NIL:
-        return s
-    if not has_dart(m, z):
-        return NIL
-    return bottom(m, k, z)
+    return s if s != NIL else bottom(m, k, z)
 
 
 def closed_predecessor(m: FreeMap, k: Dim, z: Dart) -> Dart:
     s = predecessor(m, k, z)
-    if s != NIL:
-        return s
-    if not has_dart(m, z):
-        return NIL
-    return top(m, k, z)
+    return s if s != NIL else top(m, k, z)
 
 
 def face_successor(m: FreeMap, z: Dart) -> Dart:
@@ -348,18 +338,59 @@ class ChainKernel:
 
     Each dimension is a :class:`ChainTracker`, so every step and every
     closure is a constant number of dict operations.  This is the one
-    statement of the construction preconditions and of their messages.
-    Replaying a term through a kernel is the well-formedness check and
-    the first pass of every index;
-    :class:`hmap.stats.IncrementalMap` extends the kernel; the term-level
-    checks and checked builders ask the kernel of their base map.
+    statement of the construction preconditions and of their messages,
+    and of the fast form of the term observers: each answers as its
+    namesake in this module does on the replayed term, nil (or False)
+    outside the dart set.  Replaying a term through a kernel is the
+    well-formedness check; :class:`hmap.index.HypermapIndex` is the
+    kernel of its replay plus orbit labels, and
+    :class:`hmap.stats.IncrementalMap` a kernel that keeps its counts
+    current; the term-level checks and checked builders ask the kernel
+    of their base map.
     """
 
-    __slots__ = ("darts", "chains")
+    __slots__ = ("dart_set", "chains")
 
     def __init__(self) -> None:
-        self.darts: set[Dart] = set()
+        self.dart_set: set[Dart] = set()
         self.chains = (ChainTracker(), ChainTracker())
+
+    # -- the term observers ---------------------------------------------------
+
+    def has_dart(self, z: Dart) -> bool:
+        return z in self.dart_set
+
+    def successor(self, k: Dim, z: Dart) -> Dart:
+        return self.chains[k.value].succ.get(z, NIL)
+
+    def predecessor(self, k: Dim, z: Dart) -> Dart:
+        return self.chains[k.value].pred.get(z, NIL)
+
+    def has_successor(self, k: Dim, z: Dart) -> bool:
+        return z in self.chains[k.value].succ
+
+    def has_predecessor(self, k: Dim, z: Dart) -> bool:
+        return z in self.chains[k.value].pred
+
+    def closed_successor(self, k: Dim, z: Dart) -> Dart:
+        return self.chains[k.value].closed_succ(z) if z in self.dart_set else NIL
+
+    def closed_predecessor(self, k: Dim, z: Dart) -> Dart:
+        return self.chains[k.value].closed_pred(z) if z in self.dart_set else NIL
+
+    def face_successor(self, z: Dart) -> Dart:
+        return self.predecessor(Dim.one, self.predecessor(Dim.zero, z))
+
+    def face_predecessor(self, z: Dart) -> Dart:
+        return self.successor(Dim.zero, self.successor(Dim.one, z))
+
+    def closed_face_successor(self, z: Dart) -> Dart:
+        return self.closed_predecessor(Dim.one, self.closed_predecessor(Dim.zero, z))
+
+    def closed_face_predecessor(self, z: Dart) -> Dart:
+        return self.closed_successor(Dim.zero, self.closed_successor(Dim.one, z))
+
+    # -- construction -----------------------------------------------------------
 
     def insert_violation(self, x: Dart) -> str | None:
         """Reason ``x`` cannot be inserted, or None when it can."""
@@ -367,7 +398,7 @@ class ChainKernel:
             return "dart id is the reserved nil value"
         if x < 0:
             return f"dart id {x} is negative"
-        if x in self.darts:
+        if x in self.dart_set:
             return f"duplicate insert, dart {x} already exists"
         return None
 
@@ -377,9 +408,9 @@ class ChainKernel:
         The closure conjunct (the closed successor of ``x`` must differ from
         ``y``) is what keeps every orbit an open chain.
         """
-        if x not in self.darts:
+        if x not in self.dart_set:
             return f"dart {x} does not exist"
-        if y not in self.darts:
+        if y not in self.dart_set:
             return f"dart {y} does not exist"
         c = self.chains[k.value]
         if x in c.succ:
@@ -407,7 +438,7 @@ class ChainKernel:
 
     def add_dart(self, x: Dart) -> None:
         """Insert ``x`` without checking its precondition."""
-        self.darts.add(x)
+        self.dart_set.add(x)
         self.chains[0].add(x)
         self.chains[1].add(x)
 

@@ -2,10 +2,10 @@
 
 The recursive observers in :mod:`hmap.fmap` walk the term on every query,
 which is the right reference semantics but quadratic in bulk use.  A
-:class:`HypermapIndex` replays the term once.  It keeps the replay's
-kernel, which holds the explicit links and pairs the two ends of every
-open chain, and materializes the closures, the face permutation and the
-four orbit partitions, answering all further queries in O(1).
+:class:`HypermapIndex` replays the term once and is the kernel of that
+replay, which holds the explicit links and pairs the two ends of every
+open chain.  To it the index adds the closures, the face permutation
+and the four orbit partitions, answering all further queries in O(1).
 """
 
 from __future__ import annotations
@@ -87,38 +87,33 @@ def _orbit_ids(starts: list[Dart], *perms: dict[Dart, Dart]) -> dict[Dart, Dart]
     return ids
 
 
-class HypermapIndex:
+class HypermapIndex(ChainKernel):
     """Precomputed views of one well-formed map term.
 
-    All dictionaries are keyed by dart.  ``closure[k]`` and ``face_perm``
-    are permutations of the dart set; ``*_ids`` map each dart to its
-    orbit's representative: the bottom of its open chain for edges and
+    The index is the kernel of its replay: it takes over the replay's
+    dart set and chains, which answer the explicit links, the closures,
+    the face successors and the construction preconditions on the
+    indexed map.  On top of them it keeps the sorted ``darts``, the
+    closures ``closure[k]`` and ``face_perm`` as permutation dicts, and
+    the ``*_ids`` labellings, which map each dart to its orbit's
+    representative: the bottom of its open chain for edges and
     vertices, the orbit's minimum dart for faces and components.
-    ``kernel`` is the replay the index was built from: ``dart_set`` and
-    the explicit links are its own containers, and it answers tops,
-    inverse closures and the construction preconditions on the indexed
-    map.
     """
 
     __slots__ = (
-        "term", "kernel", "darts", "dart_set",
-        "succ_links", "pred_links",
-        "closure", "face_perm",
+        "term", "darts", "closure", "face_perm",
         "edge_ids", "vertex_ids", "face_ids", "component_ids",
         "stats",
     )
 
     def __init__(self, m: FreeMap, *, check: bool = True) -> None:
-        kern: ChainKernel = kernel_of(m) if check else replay(m, check=False)[0]
-        ch0, ch1 = kern.chains
-        darts = sorted(kern.darts)
+        kern = kernel_of(m) if check else replay(m, check=False)[0]
+        self.dart_set, self.chains = kern.dart_set, kern.chains
+        ch0, ch1 = self.chains
+        darts = sorted(self.dart_set)
 
         self.term = m
-        self.kernel = kern
         self.darts = tuple(darts)
-        self.dart_set = kern.darts
-        self.succ_links = (ch0.succ, ch1.succ)
-        self.pred_links = (ch0.pred, ch1.pred)
         self.closure = ({d: ch0.closed_succ(d) for d in darts},
                         {d: ch1.closed_succ(d) for d in darts})
         self.face_perm = {d: ch1.closed_pred(ch0.closed_pred(d)) for d in darts}
@@ -138,48 +133,14 @@ class HypermapIndex:
             nc=len(set(self.component_ids.values())),
         )
 
-    # -- observer-shaped queries ------------------------------------------
-
-    def has_dart(self, z: Dart) -> bool:
-        return z in self.dart_set
-
-    def successor(self, k: Dim, z: Dart) -> Dart:
-        return self.succ_links[k.value].get(z, NIL)
-
-    def predecessor(self, k: Dim, z: Dart) -> Dart:
-        return self.pred_links[k.value].get(z, NIL)
-
-    def has_successor(self, k: Dim, z: Dart) -> bool:
-        return z in self.succ_links[k.value]
-
-    def has_predecessor(self, k: Dim, z: Dart) -> bool:
-        return z in self.pred_links[k.value]
+    # -- chain ends, from the labels -------------------------------------------
 
     def top(self, k: Dim, z: Dart) -> Dart:
         b = self.bottom(k, z)
-        return self.kernel.chains[k.value].end[b] if b != NIL else NIL
+        return self.chains[k.value].end[b] if b != NIL else NIL
 
     def bottom(self, k: Dim, z: Dart) -> Dart:
         return (self.edge_ids, self.vertex_ids)[k.value].get(z, NIL)
-
-    def closed_successor(self, k: Dim, z: Dart) -> Dart:
-        return self.closure[k.value].get(z, NIL)
-
-    def closed_predecessor(self, k: Dim, z: Dart) -> Dart:
-        return (self.kernel.chains[k.value].closed_pred(z) if z in self.dart_set
-                else NIL)
-
-    def face_successor(self, z: Dart) -> Dart:
-        return self.pred_links[1].get(self.pred_links[0].get(z, NIL), NIL)
-
-    def closed_face_successor(self, z: Dart) -> Dart:
-        return self.face_perm.get(z, NIL)
-
-    def face_predecessor(self, z: Dart) -> Dart:
-        return self.succ_links[0].get(self.succ_links[1].get(z, NIL), NIL)
-
-    def closed_face_predecessor(self, z: Dart) -> Dart:
-        return self.closure[0].get(self.closure[1].get(z, NIL), NIL)
 
     # -- orbit queries -----------------------------------------------------
 
@@ -233,10 +194,7 @@ def ensure_index(m: FreeMap, index: HypermapIndex | None) -> HypermapIndex:
     return build_index(m)
 
 
-def require_well_formed(m: FreeMap, index: HypermapIndex | None) -> None:
-    """Validate ``m`` as ``ensure_index`` would, for callers that do not
-    read the index: without one, a checked replay is enough."""
-    if index is None:
-        kernel_of(m)
-    else:
-        ensure_index(m, index)
+def require_well_formed(m: FreeMap, index: HypermapIndex | None) -> ChainKernel:
+    """A kernel of ``m`` for callers that read no orbit labels: the index,
+    validated as ``ensure_index`` does, or else one checked replay."""
+    return kernel_of(m) if index is None else ensure_index(m, index)

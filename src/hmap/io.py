@@ -16,8 +16,6 @@ in break order, with no header.
 
 from __future__ import annotations
 
-import contextlib
-
 from .fmap import Dim, FreeMap, Insert, Link, MapError, Void, history
 from .index import HypermapIndex, ensure_index
 from .orbits import OrbitKind, all_orbits
@@ -43,8 +41,10 @@ def _content_lines(text: str):
 def _parse_dart(token: str, line_no: int) -> int:
     # ASCII only: str.isdigit also accepts digits such as '²' that int() rejects
     if token.isascii() and token.isdigit():
-        with contextlib.suppress(ValueError):  # more digits than int() converts
+        try:
             return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
     raise ParseError(line_no, f"expected a dart number, got {token!r}")
 
 
@@ -116,9 +116,7 @@ def to_dot(m: FreeMap, *, index: HypermapIndex | None = None) -> str:
         out.append(f'    label="component {comp.representative}";')
         out.extend(f"    {d};" for d in comp.members)
         out.append("  }")
-    for x in sorted(idx.succ_links[0]):
-        out.append(f"  {x} -> {idx.succ_links[0][x]} [style=solid];")
-    for x in sorted(idx.succ_links[1]):
-        out.append(f"  {x} -> {idx.succ_links[1][x]} [style=dashed];")
+    for chain, style in zip(idx.chains, ("solid", "dashed")):
+        out.extend(f"  {x} -> {chain.succ[x]} [style={style}];" for x in sorted(chain.succ))
     out.append("}")
     return "\n".join(out) + "\n"

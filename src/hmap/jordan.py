@@ -19,6 +19,7 @@ from typing import Callable, Iterator, Sequence
 
 from .criteria import break_disconnects
 from .fmap import (
+    ChainKernel,
     ConstraintError,
     Dart,
     Dim,
@@ -159,25 +160,18 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
             if inc.same_component(x, y):
                 continue
             k = Dim(rng.getrandbits(1))
-            if inc.can_link(k, x, y):
-                inc.link(k, x, y)
-                placed += 1
-        elif move == "split0":
+        else:
+            # a and b share a face; the split links them through a closure
             face = inc.face_members(rng.randint(1, n_darts))
             a = rng.choice(face)
-            y = rng.choice(face)
-            x = inc.chains[1].closed_succ(a)
-            if inc.can_link(Dim.zero, x, y):
-                inc.link(Dim.zero, x, y)
-                placed += 1
-        else:
-            face = inc.face_members(rng.randint(1, n_darts))
-            x = rng.choice(face)
             b = rng.choice(face)
-            y = inc.chains[0].closed_pred(b)
-            if inc.can_link(Dim.one, x, y):
-                inc.link(Dim.one, x, y)
-                placed += 1
+            if move == "split0":
+                k, x, y = Dim.zero, inc.chains[1].closed_succ(a), b
+            else:
+                k, x, y = Dim.one, a, inc.chains[0].closed_pred(b)
+        if inc.can_link(k, x, y):
+            inc.link(k, x, y)
+            placed += 1
     return inc.term()
 
 
@@ -190,7 +184,7 @@ def _connectors(idx: HypermapIndex) -> list[tuple[Dart, Dart, Dart, Dart]]:
     every dart carrying an explicit 0-link; the edge id is the bottom."""
     edge_ids, face_ids = idx.edge_ids, idx.face_ids
     return [(x, edge_ids[x], face_ids[y], face_ids[edge_ids[x]])
-            for x, y in idx.succ_links[0].items()]
+            for x, y in idx.chains[0].succ.items()]
 
 
 def find_ring(m: FreeMap, max_len: int, seed: int, *,
@@ -356,12 +350,14 @@ def fuzz_jordan(trials: int, seed: int, size_bound: int, *,
     """
     if trials < 0:
         raise ConstraintError(f"trial count {trials} is negative")
+    if size_bound < 2:
+        raise ConstraintError(f"size bound {size_bound} is below 2")
     report = FuzzReport(trials=trials)
     wdir = _witness_dir(witness_dir)
     master = random.Random(seed)
     for trial in range(trials):
         trial_seed = master.getrandbits(48)
-        n_darts = 2 + trial_seed % max(1, size_bound - 1)
+        n_darts = 2 + trial_seed % (size_bound - 1)
         link_budget = 2 * n_darts
         rng = random.Random(trial_seed)
         n_links = rng.randint(n_darts // 2, link_budget)
@@ -403,32 +399,27 @@ def _path_systems(darts: Sequence[Dart]) -> Iterator[dict[Dart, Dart]]:
 
     Each dart gets at most one successor, each at most one predecessor,
     and no cycle closes.  This is exactly the set of explicit link
-    structures one dimension of a well-formed map can carry.
+    structures one dimension of a well-formed map can carry; each link
+    is admitted by the kernel's link rule on the links chosen before it.
     """
     n = len(darts)
-    succ: dict[Dart, Dart] = {}
-    has_pred: set[Dart] = set()
-    end = {d: d for d in darts}  # chain ends paired as in ChainTracker
 
-    def rec(i: int) -> Iterator[dict[Dart, Dart]]:
+    def rec(i: int, succ: dict[Dart, Dart]) -> Iterator[dict[Dart, Dart]]:
         if i == n:
-            yield dict(succ)
+            yield succ
             return
-        x = darts[i]  # no successor yet: the top of its chain
-        yield from rec(i + 1)
+        yield from rec(i + 1, succ)
+        kern = ChainKernel()
+        for d in darts:
+            kern.add_dart(d)
+        for a, b in succ.items():
+            kern.chains[0].link(a, b)
+        x = darts[i]
         for y in darts:
-            if y in has_pred or end[x] == y:
-                continue
-            bottom, top = end[x], end[y]
-            succ[x] = y
-            has_pred.add(y)
-            end[bottom], end[top] = top, bottom
-            yield from rec(i + 1)
-            end[bottom], end[top] = x, y
-            has_pred.discard(y)
-            del succ[x]
+            if kern.can_link(Dim.zero, x, y):
+                yield from rec(i + 1, {**succ, x: y})
 
-    yield from rec(0)
+    yield from rec(0, {})
 
 
 def enumerate_maps(max_darts: int) -> Iterator[FreeMap]:

@@ -17,15 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .fmap import (
-    NIL,
-    ConstraintError,
-    Dart,
-    Dim,
-    FreeMap,
-    break_link,
-    has_successor,
-)
+from .fmap import NIL, ConstraintError, Dart, Dim, FreeMap, break_link
 from .index import HypermapIndex, ensure_index
 
 
@@ -107,7 +99,7 @@ def check_ring(m: FreeMap, items: RingList, *,
     vacuously on the empty list, which is invalid only for being empty.
     """
     idx = ensure_index(m, index)
-    succ0, edge_ids, face_ids = idx.succ_links[0], idx.edge_ids, idx.face_ids
+    succ0, edge_ids, face_ids = idx.chains[0].succ, idx.edge_ids, idx.face_ids
     # per item: (identified face, opposite face), None without a 0-link
     sides: list[Sides] = []
     first_edge: dict[Dart, int] = {}
@@ -196,11 +188,13 @@ def break_ring(m: FreeMap, items: RingList) -> FreeMap:
 
     Each item must still carry a 0-link when its turn comes; a valid
     ring guarantees that, since its edges are pairwise distinct.
+    ``break_link`` returns its input itself when there is none.
     """
     cur = m
     for i, item in enumerate(items):
-        if not has_successor(cur, Dim.zero, item.x):
+        broken = break_link(cur, Dim.zero, item.x)
+        if broken is cur:
             raise ConstraintError(
                 f"item {i}: dart {item.x} has no 0-link left to break")
-        cur = break_link(cur, Dim.zero, item.x)
+        cur = broken
     return cur

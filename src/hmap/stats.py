@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fmap import (
-    NIL,
     ChainKernel,
     ConstraintError,
     Dart,
@@ -145,7 +144,9 @@ class IncrementalMap(ChainKernel):
     current across insertions and links.
 
     The darts and chains are the inherited :class:`ChainKernel`, which
-    also decides every construction precondition.
+    also decides every construction precondition and answers the term
+    observers; ``face_next`` is kept by the recurrence below and always
+    equals the kernel's ``closed_face_successor``.
 
     Each link changes the face permutation at exactly two darts and
     changes the face count by one; whether a face splits or two merge is
@@ -174,22 +175,13 @@ class IncrementalMap(ChainKernel):
 
     # -- queries ------------------------------------------------------------
 
-    def has_dart(self, z: Dart) -> bool:
-        return z in self.darts
-
-    def closed_successor(self, k: Dim, z: Dart) -> Dart:
-        return self.chains[k.value].closed_succ(z) if z in self.darts else NIL
-
-    def closed_predecessor(self, k: Dim, z: Dart) -> Dart:
-        return self.chains[k.value].closed_pred(z) if z in self.darts else NIL
-
     def same_component(self, a: Dart, b: Dart) -> bool:
-        return (a in self.darts and b in self.darts
+        return (a in self.dart_set and b in self.dart_set
                 and self.components.same(a, b))
 
     def same_face(self, a: Dart, b: Dart) -> bool:
         """Walk a's face cycle looking for b; linear in the face size."""
-        if a not in self.darts or b not in self.darts:
+        if a not in self.dart_set or b not in self.dart_set:
             return False
         return b in _cycle(self.face_next, a)
 

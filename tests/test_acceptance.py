@@ -148,8 +148,8 @@ def test_04_criterion_equivalence_exhaustive():
         idx = build_index(m, check=False)
         planar = idx.stats.planar
         nc = idx.stats.n_components
-        succ0 = idx.succ_links[0]
-        pred0 = idx.pred_links[0]
+        succ0 = idx.chains[0].succ
+        pred0 = idx.chains[0].pred
         clos0 = idx.closure[0]
         for x in idx.darts:
             if x in succ0:

@@ -162,6 +162,9 @@ def test_gen_impossible_exits_2(capsys):
     (["fuzz", "--trials", "-3", "--seed", "2", "--size", "10"], "trial count -3"),
     (["gen", "--darts", "5", "--links", "-2", "--seed", "1"], "link count -2"),
     (["gen", "--darts", "-4", "--links", "0", "--seed", "1"], "dart count -4"),
+    (["fuzz", "--trials", "3", "--seed", "1", "--size", "-5"], "size bound -5"),
+    (["fuzz", "--trials", "3", "--seed", "1", "--size", "0"], "size bound 0"),
+    (["fuzz", "--trials", "3", "--seed", "1", "--size", "1"], "size bound 1"),
 ])
 def test_negative_counts_exit_2(argv, blamed, capsys):
     assert run_cli(argv) == 2

@@ -1,9 +1,11 @@
-"""The one-pass index must agree with the recursive observers everywhere."""
+"""The one-pass index and the incremental builder must agree with the
+recursive observers everywhere."""
 
 import pytest
 
 from hmap import (
     Dim,
+    IncrementalMap,
     Insert,
     MapError,
     Void,
@@ -24,13 +26,35 @@ from hmap import (
     successor,
     top,
 )
-from hmap import jordan
+from hmap import fmap, jordan
 from hmap.fmap import history
 from hmap.index import count_components
 from hmap.jordan import enumerate_maps, random_map, random_planar_map
 
 d0 = Dim.zero
 d1 = Dim.one
+
+
+def _total_queries(z):
+    """(observer name, arguments) of every nil-total observer at ``z``."""
+    yield "has_dart", (z,)
+    for k in Dim:
+        for name in ("successor", "predecessor", "has_successor", "has_predecessor",
+                     "closed_successor", "closed_predecessor"):
+            yield name, (k, z)
+    for name in ("face_successor", "face_predecessor",
+                 "closed_face_successor", "closed_face_predecessor"):
+        yield name, (z,)
+
+
+def incremental_replay(m):
+    inc = IncrementalMap()
+    for node in history(m):
+        if isinstance(node, Insert):
+            inc.insert(node.x)
+        else:
+            inc.link(node.k, node.x, node.y)
+    return inc
 
 
 def assert_index_matches_reference(m):
@@ -49,6 +73,13 @@ def assert_index_matches_reference(m):
         assert idx.face_predecessor(z) == face_predecessor(m, z)
         assert idx.closed_face_successor(z) == closed_face_successor(m, z)
         assert idx.closed_face_predecessor(z) == closed_face_predecessor(m, z)
+    # the incremental builder inherits the same observers from the kernel
+    inc = incremental_replay(m)
+    for z in darts + [-3]:
+        for name, args in _total_queries(z):
+            assert getattr(inc, name)(*args) == getattr(fmap, name)(m, *args), (name, args)
+    for z in idx.darts:
+        assert inc.closed_face_successor(z) == inc.face_next[z]
 
 
 def test_empty_index():

@@ -118,7 +118,7 @@ class TestRandomPlanarMap:
     def test_link_budget_respected(self):
         m = random_planar_map(5, 10, 20)
         idx = build_index(m)
-        n_links = len(idx.succ_links[0]) + len(idx.succ_links[1])
+        n_links = len(idx.chains[0].succ) + len(idx.chains[1].succ)
         assert n_links <= 20
 
 

@@ -182,8 +182,8 @@ class TestBreakRing:
     def test_digon_leaves_one_links(self, digon):
         broken = break_ring(digon, DIGON_RING)
         idx = build_index(broken)
-        assert idx.succ_links[0] == {}
-        assert idx.succ_links[1] == {2: 3, 4: 1}
+        assert idx.chains[0].succ == {}
+        assert idx.chains[1].succ == {2: 3, 4: 1}
 
     def test_empty_is_identity(self, digon):
         assert break_ring(digon, []) == digon
