@@ -11,8 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .fmap import ConstraintError, FreeMap, MapError, kernel_of, well_formed_violation
-from .index import build_index
+from .fmap import ConstraintError, FreeMap, MapError, well_formed_violation
+from .index import build_index, require_well_formed
 from .io import parse_map, parse_ring, serialize_map, to_dot
 from .jordan import fuzz_jordan, jordan_check, random_planar_map
 from .orbits import OrbitKind, orbit
@@ -36,12 +36,12 @@ def _load_map(path: str) -> FreeMap:
 
 
 def _load_checked(path: str, build):
-    """The map in ``path`` and ``build`` of it, where ``build`` (the
-    index or the kernel) is the map's one checked replay; a map that is
-    not well formed is an error naming ``path``."""
+    """``build`` of the map in ``path``, where ``build`` (the index, or
+    the term with its kernel) is the map's one checked replay; a map
+    that is not well formed is an error naming ``path``."""
     m = _load_map(path)
     try:
-        return m, build(m)
+        return build(m)
     except MapError as exc:
         raise ConstraintError(f"{path}: {exc}") from exc
 
@@ -136,7 +136,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 1
 
     if cmd == "stats":
-        st = _load_checked(args.map, build_index)[1].stats
+        st = _load_checked(args.map, build_index).stats
         print(f"nd={st.n_darts}")
         print(f"ne={st.n_edges}")
         print(f"nv={st.n_vertices}")
@@ -148,31 +148,31 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if cmd == "orbit":
-        m, idx = _load_checked(args.map, build_index)
-        orb = orbit(m, OrbitKind(args.kind), args.dart, index=idx)
+        idx = _load_checked(args.map, build_index)
+        orb = orbit(idx, OrbitKind(args.kind), args.dart)
         print(" ".join(str(d) for d in orb.members))
         return 0
 
     if cmd == "planar":
-        st = _load_checked(args.map, build_index)[1].stats
+        st = _load_checked(args.map, build_index).stats
         print(f"planar={_fmt_bool(st.planar)}")
         return 0 if st.planar else 1
 
     if cmd == "ring-check":
-        m, idx = _load_checked(args.map, build_index)
-        diag = check_ring(m, parse_ring(_read(args.ring)), index=idx)
+        idx = _load_checked(args.map, build_index)
+        diag = check_ring(idx, parse_ring(_read(args.ring)))
         print(diag.summary())
         return 0 if diag.valid else 1
 
     if cmd == "break":
-        m, _ = _load_checked(args.map, kernel_of)
+        m, _ = _load_checked(args.map, require_well_formed)
         broken = break_ring(m, parse_ring(_read(args.ring)))
         _write_out(serialize_map(broken), args.out)
         return 0
 
     if cmd == "jordan":
-        m, idx = _load_checked(args.map, build_index)
-        outcome = jordan_check(m, parse_ring(_read(args.ring)), index=idx)
+        idx = _load_checked(args.map, build_index)
+        outcome = jordan_check(idx, parse_ring(_read(args.ring)))
         print(outcome.summary())
         return 0 if outcome.passed else 1
 
@@ -188,8 +188,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if report.passed else 1
 
     if cmd == "dot":
-        m, idx = _load_checked(args.map, build_index)
-        _write_out(to_dot(m, index=idx), args.out)
+        _write_out(to_dot(_load_checked(args.map, build_index)), args.out)
         return 0
 
     raise MapError(f"unknown command {cmd!r}")

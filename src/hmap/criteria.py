@@ -47,20 +47,18 @@ def _criterion(idx: HypermapIndex, k: Dim, x: Dart, y: Dart) -> bool:
     return idx.stats.planar and _link_keeps_planar(idx, k, x, y)
 
 
-def planar_after_link(m: FreeMap, k: Dim, x: Dart, y: Dart, *,
-                      index: HypermapIndex | None = None) -> bool:
+def planar_after_link(m: FreeMap | HypermapIndex, k: Dim, x: Dart, y: Dart) -> bool:
     """Would ``link(m, k, x, y)`` be planar?  Decided without linking.
 
     Requires the link preconditions; the answer equals
     ``is_planar(link(m, k, x, y))``.
     """
-    idx = ensure_index(m, index)
+    idx = ensure_index(m)
     idx.require_link(k, x, y)
     return _criterion(idx, k, x, y)
 
 
-def planar_from_break(m: FreeMap, k: Dim, x: Dart, *,
-                      index: HypermapIndex | None = None) -> bool:
+def planar_from_break(m: FreeMap | HypermapIndex, k: Dim, x: Dart) -> bool:
     """Is ``m`` planar?  Decided on the map with the k-link out of ``x``
     broken, by the link criterion for relinking it.
 
@@ -68,22 +66,22 @@ def planar_from_break(m: FreeMap, k: Dim, x: Dart, *,
     ``is_planar(m)``; the point of the indirection is that it needs only
     the broken map, which is how the ring induction looks at breaks.
     """
-    y = require_well_formed(m, index).successor(k, x)
+    term, kern = require_well_formed(m)
+    y = kern.successor(k, x)
     _require(y != NIL, f"dart {x} has no {k.value}-successor")
-    m0 = break_link(m, k, x)
+    m0 = break_link(term, k, x)
     idx0 = build_index(m0, check=False)
     return _criterion(idx0, k, x, y)
 
 
-def break_disconnects(m: FreeMap, x: Dart, *,
-                      index: HypermapIndex | None = None) -> bool:
+def break_disconnects(m: FreeMap | HypermapIndex, x: Dart) -> bool:
     """On a planar map, would breaking the 0-link out of ``x`` disconnect
     its component?  True exactly when the link target and the bottom of
     ``x``'s open 0-chain share a face.
 
     Requires planarity and a 0-successor on ``x``.
     """
-    idx = ensure_index(m, index)
+    idx = ensure_index(m)
     _require(idx.stats.planar, "map is not planar")
     y = idx.successor(Dim.zero, x)
     _require(y != 0, f"dart {x} has no 0-successor")

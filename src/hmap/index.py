@@ -20,7 +20,6 @@ from .fmap import (
     FreeMap,
     Insert,
     InternalInvariantError,
-    MapError,
     history,
     kernel_of,
     replay,
@@ -53,10 +52,18 @@ class MapStats:
 
 
 def _cycle(perm: dict[Dart, Dart], z: Dart) -> list[Dart]:
-    """The ``perm``-cycle through ``z``, in order from ``z``."""
+    """The ``perm``-cycle through ``z``, in order from ``z``.
+
+    A walk that has not returned to ``z`` after ``len(perm)`` steps means
+    ``perm`` is not a permutation; that is an error, not an endless loop.
+    """
     cycle = [z]
     cur = perm[z]
+    n = len(perm)
     while cur != z:
+        if len(cycle) == n:
+            raise InternalInvariantError(
+                f"walk from dart {z} does not return: not a permutation")
         cycle.append(cur)
         cur = perm[cur]
     return cycle
@@ -185,16 +192,14 @@ def count_components(m: FreeMap) -> int:
     return n
 
 
-def ensure_index(m: FreeMap, index: HypermapIndex | None) -> HypermapIndex:
-    """Pass-through for functions that accept a prebuilt index."""
-    if index is not None:
-        if index.term is not m:
-            raise MapError("index was built for a different map term")
-        return index
-    return build_index(m)
+def ensure_index(m: FreeMap | HypermapIndex) -> HypermapIndex:
+    """The index of a map given as a term or as its index: an index is
+    used as it stands, a term gets a checked build."""
+    return m if isinstance(m, HypermapIndex) else build_index(m)
 
 
-def require_well_formed(m: FreeMap, index: HypermapIndex | None) -> ChainKernel:
-    """A kernel of ``m`` for callers that read no orbit labels: the index,
-    validated as ``ensure_index`` does, or else one checked replay."""
-    return kernel_of(m) if index is None else ensure_index(m, index)
+def require_well_formed(m: FreeMap | HypermapIndex) -> tuple[FreeMap, ChainKernel]:
+    """The term and a kernel of a map given as a term or as its index,
+    for callers that read no orbit labels: ``(m.term, m)`` for an index,
+    else ``m`` and the kernel of its one checked replay."""
+    return (m.term, m) if isinstance(m, HypermapIndex) else (m, kernel_of(m))

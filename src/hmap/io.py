@@ -106,12 +106,12 @@ def serialize_ring(items: RingList) -> str:
     return "".join(f"{it.x} {'t' if it.flag else 'f'}\n" for it in items)
 
 
-def to_dot(m: FreeMap, *, index: HypermapIndex | None = None) -> str:
+def to_dot(m: FreeMap | HypermapIndex) -> str:
     """DOT rendering: one cluster per component, explicit 0-links solid,
     explicit 1-links dashed."""
-    idx = ensure_index(m, index)
+    idx = ensure_index(m)
     out = ["digraph hypermap {", "  rankdir=LR;", "  node [shape=circle];"]
-    for n, comp in enumerate(all_orbits(m, OrbitKind.component, index=idx)):
+    for n, comp in enumerate(all_orbits(idx, OrbitKind.component)):
         out.append(f"  subgraph cluster_{n} {{")
         out.append(f'    label="component {comp.representative}";')
         out.extend(f"    {d};" for d in comp.members)

@@ -63,42 +63,39 @@ class JordanOutcome:
                 f"nc_after={self.n_components_after} verdict={verdict}")
 
 
-def jordan_check(m: FreeMap, items: RingList, *,
-                 index: HypermapIndex | None = None) -> JordanOutcome:
+def jordan_check(m: FreeMap | HypermapIndex, items: RingList) -> JordanOutcome:
     """Break along the ring and compare component counts.
 
     Requires a well-formed planar map and a valid ring; each failed
     precondition is reported by name.
     """
-    idx = ensure_index(m, index)
+    idx = ensure_index(m)
     if not idx.stats.planar:
         raise ConstraintError("map is not planar")
-    diag = check_ring(m, items, index=idx)
+    diag = check_ring(idx, items)
     if not diag.valid:
         raise ConstraintError(f"not a valid ring: {diag.summary()}")
-    after = count_components(break_ring(m, items))
-    return JordanOutcome(idx.stats.n_components, after, m, tuple(items))
+    after = count_components(break_ring(idx.term, items))
+    return JordanOutcome(idx.stats.n_components, after, idx.term, tuple(items))
 
 
-def first_break_keeps_connected(m: FreeMap, items: RingList, *,
-                                index: HypermapIndex | None = None) -> bool:
+def first_break_keeps_connected(m: FreeMap | HypermapIndex, items: RingList) -> bool:
     """For a valid ring of length >= 2, breaking the first item's link
     must not disconnect: the link target and the chain bottom must lie
     in different faces.  Returns True when that holds."""
     if len(items) < 2:
         raise ConstraintError("needs a ring of length >= 2")
-    return not break_disconnects(m, items[0].x, index=index)
+    return not break_disconnects(m, items[0].x)
 
 
-def tail_is_ring_after_first_break(m: FreeMap, items: RingList, *,
-                                   index: HypermapIndex | None = None) -> bool:
+def tail_is_ring_after_first_break(m: FreeMap | HypermapIndex, items: RingList) -> bool:
     """After breaking the first item's link, the remaining items must
     still satisfy all four ring conditions in the broken map."""
     if len(items) < 2:
         raise ConstraintError("needs a ring of length >= 2")
-    require_well_formed(m, index)
-    m1 = break_link(m, Dim.zero, items[0].x)
-    return check_ring(m1, items[1:], index=build_index(m1, check=False)).valid
+    term, _ = require_well_formed(m)
+    m1 = break_link(term, Dim.zero, items[0].x)
+    return check_ring(build_index(m1, check=False), items[1:]).valid
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +184,15 @@ def _connectors(idx: HypermapIndex) -> list[tuple[Dart, Dart, Dart, Dart]]:
             for x, y in idx.chains[0].succ.items()]
 
 
-def find_ring(m: FreeMap, max_len: int, seed: int, *,
-              index: HypermapIndex | None = None) -> list[RingItem] | None:
+def find_ring(m: FreeMap | HypermapIndex, max_len: int,
+              seed: int) -> list[RingItem] | None:
     """Search for a valid ring of at most ``max_len`` items.
 
     Returns the first ring of the search ``candidate_rings`` runs, with
     the exploration order shuffled by ``seed``.  The search is
     exhaustive, so None means no such ring exists.
     """
-    idx = ensure_index(m, index)
+    idx = ensure_index(m)
     rings = _ring_search(idx, max_len, random.Random(seed).shuffle)
     return next((list(ring) for ring in rings), None)
 
@@ -363,25 +360,25 @@ def fuzz_jordan(trials: int, seed: int, size_bound: int, *,
         n_links = rng.randint(n_darts // 2, link_budget)
         m = random_planar_map(trial_seed, n_darts, n_links)
         idx = build_index(m, check=False)
-        ring = find_ring(m, 4, trial_seed, index=idx)
+        ring = find_ring(idx, 4, trial_seed)
         if ring is None:
             continue
         report.rings_found += 1
 
         failed = False
-        if not check_ring(m, ring, index=idx).valid:
+        if not check_ring(idx, ring).valid:
             report.search_failures += 1
             failed = True
         else:
-            outcome = jordan_check(m, ring, index=idx)
+            outcome = jordan_check(idx, ring)
             if not outcome.passed:
                 report.delta_failures += 1
                 failed = True
             if len(ring) >= 2:
-                if not first_break_keeps_connected(m, ring, index=idx):
+                if not first_break_keeps_connected(idx, ring):
                     report.connect_failures += 1
                     failed = True
-                if not tail_is_ring_after_first_break(m, ring, index=idx):
+                if not tail_is_ring_after_first_break(idx, ring):
                     report.tail_failures += 1
                     failed = True
         if failed and wdir is not None:
@@ -482,7 +479,7 @@ def exhaustive_jordan(max_darts: int, max_ring_len: int) -> ExhaustiveReport:
         nc_before = idx.stats.n_components
         for ring in candidate_rings(idx, max_ring_len):
             report.rings_checked += 1
-            if not check_ring(m, ring, index=idx).valid:
+            if not check_ring(idx, ring).valid:
                 report.ring_soundness_failures += 1
                 continue
             if count_components(break_ring(m, ring)) != nc_before + 1:

@@ -43,10 +43,9 @@ def _perm_of(idx: HypermapIndex, kind: OrbitKind) -> dict[Dart, Dart]:
     raise ValueError(f"no single permutation generates {kind.value} orbits")
 
 
-def orbit(m: FreeMap, kind: OrbitKind, z: Dart, *,
-          index: HypermapIndex | None = None) -> Orbit:
+def orbit(m: FreeMap | HypermapIndex, kind: OrbitKind, z: Dart) -> Orbit:
     """The ``kind`` orbit of dart ``z``, walked from ``z`` itself."""
-    idx = ensure_index(m, index)
+    idx = ensure_index(m)
     if z not in idx.dart_set:
         raise ConstraintError(f"dart {z} does not exist")
     if kind is OrbitKind.component:
@@ -57,11 +56,10 @@ def orbit(m: FreeMap, kind: OrbitKind, z: Dart, *,
     return Orbit(kind, min(cycle), tuple(cycle))
 
 
-def all_orbits(m: FreeMap, kind: OrbitKind, *,
-               index: HypermapIndex | None = None) -> list[Orbit]:
+def all_orbits(m: FreeMap | HypermapIndex, kind: OrbitKind) -> list[Orbit]:
     """Every ``kind`` orbit, sorted by representative; cycles are walked
     from their representative."""
-    idx = ensure_index(m, index)
+    idx = ensure_index(m)
     # idx.darts is sorted, so each orbit is first met at its minimum dart
     if kind is OrbitKind.component:
         by_rep: dict[Dart, list[Dart]] = {}
@@ -79,13 +77,12 @@ def all_orbits(m: FreeMap, kind: OrbitKind, *,
     return out
 
 
-def same_orbit(m: FreeMap, kind: OrbitKind, a: Dart, b: Dart, *,
-               index: HypermapIndex | None = None) -> bool:
+def same_orbit(m: FreeMap | HypermapIndex, kind: OrbitKind, a: Dart, b: Dart) -> bool:
     """True when darts ``a`` and ``b`` lie in the same ``kind`` orbit.
 
     Total: false whenever either dart does not exist.
     """
-    idx = ensure_index(m, index)
+    idx = ensure_index(m)
     if kind is OrbitKind.edge:
         return idx.same_edge(a, b)
     if kind is OrbitKind.vertex:
@@ -95,24 +92,20 @@ def same_orbit(m: FreeMap, kind: OrbitKind, a: Dart, b: Dart, *,
     return idx.same_component(a, b)
 
 
-def same_edge(m: FreeMap, a: Dart, b: Dart, *,
-              index: HypermapIndex | None = None) -> bool:
-    return same_orbit(m, OrbitKind.edge, a, b, index=index)
+def same_edge(m: FreeMap | HypermapIndex, a: Dart, b: Dart) -> bool:
+    return same_orbit(m, OrbitKind.edge, a, b)
 
 
-def same_vertex(m: FreeMap, a: Dart, b: Dart, *,
-                index: HypermapIndex | None = None) -> bool:
-    return same_orbit(m, OrbitKind.vertex, a, b, index=index)
+def same_vertex(m: FreeMap | HypermapIndex, a: Dart, b: Dart) -> bool:
+    return same_orbit(m, OrbitKind.vertex, a, b)
 
 
-def same_face(m: FreeMap, a: Dart, b: Dart, *,
-              index: HypermapIndex | None = None) -> bool:
-    return same_orbit(m, OrbitKind.face, a, b, index=index)
+def same_face(m: FreeMap | HypermapIndex, a: Dart, b: Dart) -> bool:
+    return same_orbit(m, OrbitKind.face, a, b)
 
 
-def same_component(m: FreeMap, a: Dart, b: Dart, *,
-                   index: HypermapIndex | None = None) -> bool:
-    return same_orbit(m, OrbitKind.component, a, b, index=index)
+def same_component(m: FreeMap | HypermapIndex, a: Dart, b: Dart) -> bool:
+    return same_orbit(m, OrbitKind.component, a, b)
 
 
 def same_component_structural(m: FreeMap, x: Dart, y: Dart) -> bool:

@@ -29,29 +29,27 @@ class RingItem(NamedTuple):
 RingList = Sequence[RingItem]
 
 
-def face_anchor(m: FreeMap, item: RingItem, *,
-                index: HypermapIndex | None = None) -> Dart:
+def face_anchor(m: FreeMap | HypermapIndex, item: RingItem) -> Dart:
     """Dart in the face the item identifies.
 
     Flag set: the link target ``y``.  Flag clear: the bottom ``x0`` of
     the item's open 0-chain.  The item dart must carry a 0-link.
     """
-    idx = ensure_index(m, index)
+    idx = ensure_index(m)
     y = idx.successor(Dim.zero, item.x)
     if y == NIL:
         raise ConstraintError(f"dart {item.x} has no 0-successor")
     return y if item.flag else idx.bottom(Dim.zero, item.x)
 
 
-def adjacent_faces(m: FreeMap, a: RingItem, b: RingItem, *,
-                   index: HypermapIndex | None = None) -> bool:
+def adjacent_faces(m: FreeMap | HypermapIndex, a: RingItem, b: RingItem) -> bool:
     """Does item ``b`` identify the face on the other side of ``a``'s
     double-link?  Both items must carry 0-links."""
-    idx = ensure_index(m, index)
+    idx = ensure_index(m)
     for item in (a, b):
         if idx.successor(Dim.zero, item.x) == NIL:
             raise ConstraintError(f"dart {item.x} has no 0-successor")
-    return check_ring(m, (a, b), index=idx).continuous
+    return check_ring(idx, (a, b)).continuous
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,8 +84,7 @@ def _adjacent(a: Sides, b: Sides) -> bool:
     return a is not None and b is not None and a[1] == b[0]
 
 
-def check_ring(m: FreeMap, items: RingList, *,
-               index: HypermapIndex | None = None) -> RingDiagnostics:
+def check_ring(m: FreeMap | HypermapIndex, items: RingList) -> RingDiagnostics:
     """Evaluate the four ring conditions in one pass over the items and
     locate the first failure.
 
@@ -98,7 +95,7 @@ def check_ring(m: FreeMap, items: RingList, *,
     sides); no two items identify the same face.  Each condition holds
     vacuously on the empty list, which is invalid only for being empty.
     """
-    idx = ensure_index(m, index)
+    idx = ensure_index(m)
     succ0, edge_ids, face_ids = idx.chains[0].succ, idx.edge_ids, idx.face_ids
     # per item: (identified face, opposite face), None without a 0-link
     sides: list[Sides] = []
@@ -150,37 +147,32 @@ def check_ring(m: FreeMap, items: RingList, *,
 # the four ring conditions one at a time (all total predicates)
 
 
-def ring_edges_unique(m: FreeMap, items: RingList, *,
-                      index: HypermapIndex | None = None) -> bool:
+def ring_edges_unique(m: FreeMap | HypermapIndex, items: RingList) -> bool:
     """Every item has a 0-link and no two items use the same edge."""
-    return check_ring(m, items, index=index).edges_unique
+    return check_ring(m, items).edges_unique
 
 
-def ring_continuous(m: FreeMap, items: RingList, *,
-                    index: HypermapIndex | None = None) -> bool:
+def ring_continuous(m: FreeMap | HypermapIndex, items: RingList) -> bool:
     """Each item's opposite face is the next item's identified face."""
-    return check_ring(m, items, index=index).continuous
+    return check_ring(m, items).continuous
 
 
-def ring_closed(m: FreeMap, items: RingList, *,
-                index: HypermapIndex | None = None) -> bool:
+def ring_closed(m: FreeMap | HypermapIndex, items: RingList) -> bool:
     """The ring wraps: the last item is adjacent to the first.
 
     A singleton wraps through its own double-link: the link target and
     the chain bottom must share a face (both sides are the same face).
     """
-    return check_ring(m, items, index=index).closed
+    return check_ring(m, items).closed
 
 
-def ring_faces_distinct(m: FreeMap, items: RingList, *,
-                        index: HypermapIndex | None = None) -> bool:
+def ring_faces_distinct(m: FreeMap | HypermapIndex, items: RingList) -> bool:
     """No two items identify the same face."""
-    return check_ring(m, items, index=index).faces_distinct
+    return check_ring(m, items).faces_distinct
 
 
-def is_ring(m: FreeMap, items: RingList, *,
-            index: HypermapIndex | None = None) -> bool:
-    return check_ring(m, items, index=index).valid
+def is_ring(m: FreeMap | HypermapIndex, items: RingList) -> bool:
+    return check_ring(m, items).valid
 
 
 def break_ring(m: FreeMap, items: RingList) -> FreeMap:

@@ -34,21 +34,21 @@ __all__ = [
 ]
 
 
-def counts(m: FreeMap, *, index: HypermapIndex | None = None) -> MapStats:
+def counts(m: FreeMap | HypermapIndex) -> MapStats:
     """Counts by direct orbit enumeration (the primary backend)."""
-    return ensure_index(m, index).stats
+    return ensure_index(m).stats
 
 
-def euler_characteristic(m: FreeMap, *, index: HypermapIndex | None = None) -> int:
-    return counts(m, index=index).euler_characteristic
+def euler_characteristic(m: FreeMap | HypermapIndex) -> int:
+    return counts(m).euler_characteristic
 
 
-def genus(m: FreeMap, *, index: HypermapIndex | None = None) -> int:
-    return counts(m, index=index).genus
+def genus(m: FreeMap | HypermapIndex) -> int:
+    return counts(m).genus
 
 
-def is_planar(m: FreeMap, *, index: HypermapIndex | None = None) -> bool:
-    return counts(m, index=index).planar
+def is_planar(m: FreeMap | HypermapIndex) -> bool:
+    return counts(m).planar
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +97,11 @@ class TheoremReport:
         return "\n".join(parts)
 
 
-def check_genus_theorem(m: FreeMap, *,
-                        index: HypermapIndex | None = None) -> TheoremReport:
+def check_genus_theorem(m: FreeMap | HypermapIndex) -> TheoremReport:
     """Check the unconditional counting bounds on a well-formed map:
     even Euler characteristic, nonnegative genus, and 2*components >= ec."""
-    st = counts(m, index=index)
+    idx = ensure_index(m)
+    st = idx.stats
     items = (
         CheckItem("euler characteristic is even",
                   st.euler_characteristic % 2 == 0,
@@ -111,15 +111,15 @@ def check_genus_theorem(m: FreeMap, *,
                   2 * st.n_components >= st.euler_characteristic,
                   f"nc={st.n_components} ec={st.euler_characteristic}"),
     )
-    witness = None if all(i.passed for i in items) else m
+    witness = None if all(i.passed for i in items) else idx.term
     return TheoremReport("genus bounds", st, items, witness)
 
 
-def check_euler_formula(m: FreeMap, *,
-                        index: HypermapIndex | None = None) -> TheoremReport:
+def check_euler_formula(m: FreeMap | HypermapIndex) -> TheoremReport:
     """Check the planar counting identity ec/2 = components; on a connected
     nonempty map that specializes to nv+ne+nf-nd = 2.  Requires planarity."""
-    st = counts(m, index=index)
+    idx = ensure_index(m)
+    st = idx.stats
     if not st.planar:
         raise ConstraintError("map is not planar")
     items = [
@@ -131,7 +131,7 @@ def check_euler_formula(m: FreeMap, *,
         total = st.n_vertices + st.n_edges + st.n_faces - st.n_darts
         items.append(CheckItem("connected nonempty: v+e+f-d = 2",
                                total == 2, f"v+e+f-d={total}"))
-    witness = None if all(i.passed for i in items) else m
+    witness = None if all(i.passed for i in items) else idx.term
     return TheoremReport("euler formula", st, tuple(items), witness)
 
 
@@ -140,13 +140,14 @@ def check_euler_formula(m: FreeMap, *,
 
 
 class IncrementalMap(ChainKernel):
-    """Mutable map builder that keeps all counts and the face permutation
-    current across insertions and links.
+    """Mutable map builder that keeps the face and component counts and
+    the face permutation current across insertions and links.
 
     The darts and chains are the inherited :class:`ChainKernel`, which
-    also decides every construction precondition and answers the term
-    observers; ``face_next`` is kept by the recurrence below and always
-    equals the kernel's ``closed_face_successor``.
+    also decides every construction precondition, answers the term
+    observers and gives the dart, edge and vertex counts; ``face_next``
+    is kept by the recurrence below and always equals the kernel's
+    ``closed_face_successor``.
 
     Each link changes the face permutation at exactly two darts and
     changes the face count by one; whether a face splits or two merge is
@@ -158,17 +159,12 @@ class IncrementalMap(ChainKernel):
     split test doubles as the planarity-preservation test.
     """
 
-    __slots__ = ("components", "face_next",
-                 "n_darts", "n_edges", "n_vertices", "n_faces", "n_components",
-                 "_term")
+    __slots__ = ("components", "face_next", "n_faces", "n_components", "_term")
 
     def __init__(self) -> None:
         super().__init__()
         self.components = UnionFind()
         self.face_next: dict[Dart, Dart] = {}
-        self.n_darts = 0
-        self.n_edges = 0
-        self.n_vertices = 0
         self.n_faces = 0
         self.n_components = 0
         self._term: FreeMap = Void()
@@ -205,9 +201,6 @@ class IncrementalMap(ChainKernel):
         self.add_dart(x)
         self.components.add(x)
         self.face_next[x] = x
-        self.n_darts += 1
-        self.n_edges += 1
-        self.n_vertices += 1
         self.n_faces += 1
         self.n_components += 1
         self._term = Insert(self._term, x)
@@ -228,7 +221,6 @@ class IncrementalMap(ChainKernel):
             c0.link(x, y)
             self.face_next[y] = a1_inv_x
             self.face_next[b0x] = a1_inv_t0y
-            self.n_edges -= 1
         else:
             b1x, t1y = c1.closed_succ(x), c1.closed_pred(y)
             a0_y = c0.closed_succ(y)
@@ -236,7 +228,6 @@ class IncrementalMap(ChainKernel):
             c1.link(x, y)
             self.face_next[a0_y] = x
             self.face_next[a0_b1x] = t1y
-            self.n_vertices -= 1
 
         self.n_faces += 1 if splits else -1
         if merged_components:
@@ -246,9 +237,11 @@ class IncrementalMap(ChainKernel):
     # -- exports ---------------------------------------------------------------
 
     def stats(self) -> MapStats:
-        return MapStats.from_counts(self.n_darts, self.n_edges,
-                                    self.n_vertices, self.n_faces,
-                                    self.n_components)
+        # each k-link joins two open k-chains: one edge or vertex fewer
+        nd = len(self.dart_set)
+        ne = nd - len(self.chains[0].succ)
+        nv = nd - len(self.chains[1].succ)
+        return MapStats.from_counts(nd, ne, nv, self.n_faces, self.n_components)
 
     def term(self) -> FreeMap:
         """The map built so far, as the term of its construction steps."""

@@ -2,21 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, TypeVar
-
-T = TypeVar("T", bound=Hashable)
-
 
 class UnionFind:
     """Union-find with path halving and union by size."""
 
     __slots__ = ("_parent", "_size")
 
-    def __init__(self, items: Iterable[T] = ()) -> None:
+    def __init__(self) -> None:
         self._parent: dict = {}
         self._size: dict = {}
-        for it in items:
-            self.add(it)
 
     def add(self, x) -> None:
         if x not in self._parent:

@@ -90,10 +90,10 @@ def test_01_golden_fixture_observations():
     ok &= closed_predecessor(m, d1, 4) == 3
     ok &= face_successor(m, 1) == NIL
     ok &= closed_face_successor(m, 1) == 5
-    ok &= same_face(m, 1, 5, index=idx)
-    ok &= not same_face(m, 5, 3, index=idx)
-    ok &= same_component(m, 1, 5, index=idx)
-    ok &= not same_component(m, 1, 13, index=idx)
+    ok &= same_face(idx, 1, 5)
+    ok &= not same_face(idx, 5, 3)
+    ok &= same_component(idx, 1, 5)
+    ok &= not same_component(idx, 1, 13)
 
     dt = time.perf_counter() - t0
     record(ok and dt < 1.0,
@@ -158,19 +158,19 @@ def test_04_criterion_equivalence_exhaustive():
                 if y in pred0 or clos0[x] == y:
                     continue
                 link_pairs += 1
-                predicted = planar_after_link(m, d0, x, y, index=idx)
+                predicted = planar_after_link(idx, d0, x, y)
                 actual = build_index(Link(m, d0, x, y), check=False).stats.planar
                 if predicted != actual:
                     mismatches += 1
         for x in succ0:
             break_points += 1
-            if planar_from_break(m, d0, x, index=idx) != planar:
+            if planar_from_break(idx, d0, x) != planar:
                 mismatches += 1
         if planar:
             for x in succ0:
                 disconnect_points += 1
                 actually_splits = count_components(break_link(m, d0, x)) == nc + 1
-                if break_disconnects(m, x, index=idx) != actually_splits:
+                if break_disconnects(idx, x) != actually_splits:
                     mismatches += 1
     dt = time.perf_counter() - t0
     # all well-formed maps on <= 5 darts, one per link structure:
@@ -235,7 +235,7 @@ def test_07_backend_equivalence():
                 (face_predecessor(m, z), idx.face_predecessor(z)),
             ]
             mismatches += sum(a != b for a, b in face_pairs)
-        if counts(m, index=idx) != counts_incremental(m):
+        if counts(idx) != counts_incremental(m):
             mismatches += 1
     dt = time.perf_counter() - t0
     record(mismatches == 0,

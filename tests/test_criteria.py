@@ -86,7 +86,7 @@ class TestBreakDisconnects:
             y = idx.successor(d0, x)
             if y == 0:
                 continue
-            got = break_disconnects(m, x, index=idx)
+            got = break_disconnects(idx, x)
             broken = break_link(m, d0, x)
             assert got == (not same_component(broken, x, y))
 
@@ -110,7 +110,7 @@ class TestExhaustiveSmall:
             for k in (d0, d1):
                 for x, y in _prec_link_pairs(idx, k):
                     want = build_index(Link(m, k, x, y), check=False).stats.planar
-                    assert planar_after_link(m, k, x, y, index=idx) == want
+                    assert planar_after_link(idx, k, x, y) == want
 
     def test_break_criterion_equals_planarity(self):
         for m in enumerate_maps(3):
@@ -118,7 +118,7 @@ class TestExhaustiveSmall:
             for k in (d0, d1):
                 for x in idx.darts:
                     if idx.has_successor(k, x):
-                        assert planar_from_break(m, k, x, index=idx) == idx.stats.planar
+                        assert planar_from_break(idx, k, x) == idx.stats.planar
 
     def test_disconnect_criterion_equals_connectivity_change(self):
         for m in enumerate_maps(3):
@@ -131,7 +131,7 @@ class TestExhaustiveSmall:
                     continue
                 broken = break_link(m, d0, x)
                 want = not same_component(broken, x, y)
-                assert break_disconnects(m, x, index=idx) == want
+                assert break_disconnects(idx, x) == want
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -145,7 +145,7 @@ def test_link_criterion_randomized(seed):
     for k, pairs in ((d0, pairs0), (d1, pairs1)):
         for x, y in rng.sample(pairs, min(10, len(pairs))):
             want = is_planar(Link(m, k, x, y))
-            assert planar_after_link(m, k, x, y, index=idx) == want
+            assert planar_after_link(idx, k, x, y) == want
 
 
 def test_linking_inside_face_adds_face_and_keeps_planarity(digon_open):

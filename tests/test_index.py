@@ -131,13 +131,6 @@ def test_face_permutation_composition(fixture15):
             Dim.one, idx.closed_predecessor(Dim.zero, z))
 
 
-def test_index_refuses_foreign_term(two_dart_edge, digon):
-    from hmap.index import ensure_index
-    idx = build_index(two_dart_edge)
-    with pytest.raises(MapError, match="different map"):
-        ensure_index(digon, idx)
-
-
 def test_odd_characteristic_is_internal_error():
     from hmap import InternalInvariantError, MapStats
     with pytest.raises(InternalInvariantError):

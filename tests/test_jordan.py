@@ -150,7 +150,7 @@ class TestFindRing:
                 assert (ring is None) == none_exists, (m, max_len)
                 if ring is not None:
                     assert len(ring) <= max_len
-                    assert check_ring(m, ring, index=idx).valid
+                    assert check_ring(idx, ring).valid
 
     @pytest.mark.parametrize("seed", range(40))
     def test_found_rings_are_valid(self, seed):

@@ -3,10 +3,16 @@
 Each of them walks the whole term per query.  Inside ``hmap`` only
 ``fmap`` itself (and ``__init__``, which re-exports them) may import
 them; every other module asks a kernel or an index instead.
+
+A function that reads a map takes it as one argument, the term or its
+index, so no public function has an ``index`` parameter as well.
 """
 
 import ast
+import inspect
 from pathlib import Path
+
+import hmap
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hmap"
 
@@ -32,3 +38,18 @@ def test_only_fmap_imports_the_term_observers():
     offenders = {p.name: sorted(_imported_observers(p)) for p in modules
                  if p.stem not in ("fmap", "__init__")}
     assert {name: obs for name, obs in offenders.items() if obs} == {}
+
+
+def test_no_public_function_takes_an_index_keyword():
+    offenders = []
+    for name in hmap.__all__:
+        obj = getattr(hmap, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # no signature to read
+            continue
+        if "index" in params:
+            offenders.append(name)
+    assert offenders == []

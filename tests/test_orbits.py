@@ -71,7 +71,7 @@ def test_reflexive_only_for_existing(fixture15):
 def test_all_orbits_partition(fixture15):
     idx = build_index(fixture15)
     for kind in OrbitKind:
-        orbs = all_orbits(fixture15, kind, index=idx)
+        orbs = all_orbits(idx, kind)
         seen = list(itertools.chain.from_iterable(o.members for o in orbs))
         assert sorted(seen) == list(idx.darts)
         assert sum(o.period for o in orbs) == idx.stats.n_darts
@@ -87,10 +87,10 @@ def test_equivalence_relation_properties(seed):
     for kind in OrbitKind:
         for _ in range(40):
             a, b, c = (rng.choice(darts) for _ in range(3))
-            assert same_orbit(m, kind, a, a, index=idx)
-            assert same_orbit(m, kind, a, b, index=idx) == same_orbit(m, kind, b, a, index=idx)
-            if same_orbit(m, kind, a, b, index=idx) and same_orbit(m, kind, b, c, index=idx):
-                assert same_orbit(m, kind, a, c, index=idx)
+            assert same_orbit(idx, kind, a, a)
+            assert same_orbit(idx, kind, a, b) == same_orbit(idx, kind, b, a)
+            if same_orbit(idx, kind, a, b) and same_orbit(idx, kind, b, c):
+                assert same_orbit(idx, kind, a, c)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -99,8 +99,8 @@ def test_faces_refine_components(seed):
     idx = build_index(m)
     for a in idx.darts:
         for b in idx.darts:
-            if same_face(m, a, b, index=idx):
-                assert same_component(m, a, b, index=idx)
+            if same_face(idx, a, b):
+                assert same_component(idx, a, b)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -108,9 +108,9 @@ def test_uniform_period(seed):
     m = random_map(seed, 10, 15)
     idx = build_index(m)
     for kind in (OrbitKind.edge, OrbitKind.vertex, OrbitKind.face):
-        for orb in all_orbits(m, kind, index=idx):
+        for orb in all_orbits(idx, kind):
             for member in orb.members:
-                assert orbit(m, kind, member, index=idx).period == orb.period
+                assert orbit(idx, kind, member).period == orb.period
 
 
 class TestStructuralComponents:
@@ -131,7 +131,7 @@ class TestStructuralComponents:
         for a in idx.darts:
             for b in idx.darts:
                 assert same_component_structural(m, a, b) == \
-                    same_component(m, a, b, index=idx), (a, b)
+                    same_component(idx, a, b), (a, b)
 
 
 def test_orbit_dataclass_basics():

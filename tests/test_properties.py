@@ -79,7 +79,7 @@ def test_link_criterion_matches_direct_check(m, data):
     if not options:
         return
     x, y = data.draw(st.sampled_from(options), label="pair")
-    predicted = planar_after_link(m, k, x, y, index=idx)
+    predicted = planar_after_link(idx, k, x, y)
     m2 = link(m, k, x, y)
     assert predicted == build_index(m2).stats.planar
     # and breaking the fresh link is a strict inverse

@@ -70,14 +70,14 @@ class TestAdjacentFaces:
             x0p = bottom(m, d0, xp)
             for fa, fb in itertools.product((True, False), repeat=2):
                 if fa and fb:
-                    want = same_face(m, x0, yp, index=idx)
+                    want = same_face(idx, x0, yp)
                 elif fa and not fb:
-                    want = same_face(m, x0, x0p, index=idx)
+                    want = same_face(idx, x0, x0p)
                 elif not fa and fb:
-                    want = same_face(m, y, yp, index=idx)
+                    want = same_face(idx, y, yp)
                 else:
-                    want = same_face(m, y, x0p, index=idx)
-                got = adjacent_faces(m, RingItem(x, fa), RingItem(xp, fb), index=idx)
+                    want = same_face(idx, y, x0p)
+                got = adjacent_faces(idx, RingItem(x, fa), RingItem(xp, fb))
                 assert got == want, (x, xp, fa, fb)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -89,8 +89,8 @@ class TestAdjacentFaces:
         for x, xp in itertools.product(linked, repeat=2):
             for fa, fb in itertools.product((True, False), repeat=2):
                 a, b = RingItem(x, fa), RingItem(xp, fb)
-                flipped = adjacent_faces(m, RingItem(xp, not fb), RingItem(x, not fa), index=idx)
-                assert adjacent_faces(m, a, b, index=idx) == flipped
+                flipped = adjacent_faces(idx, RingItem(xp, not fb), RingItem(x, not fa))
+                assert adjacent_faces(idx, a, b) == flipped
 
 
 class TestRingConditions:
@@ -208,7 +208,7 @@ class TestCandidateRings:
         brute = set()
         for n in (1, 2, 3):
             for seq in itertools.product(items, repeat=n):
-                if check_ring(m, list(seq), index=idx).valid:
+                if check_ring(idx, list(seq)).valid:
                     brute.add(tuple(seq))
         assert set(candidate_rings(idx, 3)) == brute
 
@@ -217,4 +217,4 @@ class TestCandidateRings:
         rings = set(candidate_rings(idx, 2))
         assert tuple(DIGON_RING) in rings
         for ring in rings:
-            assert check_ring(digon, ring, index=idx).valid
+            assert check_ring(idx, ring).valid

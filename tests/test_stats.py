@@ -1,11 +1,13 @@
 """Counting: orbit enumeration backend, recurrence backend, theorem checks."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hmap import (
     ConstraintError,
     Dim,
     IncrementalMap,
+    InternalInvariantError,
     Void,
     check_euler_formula,
     check_genus_theorem,
@@ -16,7 +18,8 @@ from hmap import (
     is_planar,
     make_map,
 )
-from hmap.jordan import random_map, random_planar_map
+from hmap.fmap import Insert, history
+from hmap.jordan import enumerate_maps, random_map, random_planar_map
 
 d0 = Dim.zero
 d1 = Dim.one
@@ -144,6 +147,38 @@ class TestIncrementalBackend:
             assert inc.stats() == counts(inc.term())
 
 
+def prefix_genera(m):
+    """The genus after each construction step of ``m``."""
+    inc = IncrementalMap()
+    out = []
+    for node in history(m):
+        if isinstance(node, Insert):
+            inc.insert(node.x)
+        else:
+            inc.link(node.k, node.x, node.y)
+        out.append(inc.stats().genus)
+    return out
+
+
+class TestGenusAlongPrefixes:
+    """Genus never decreases along a term's prefixes, so a planar term
+    has only planar prefixes."""
+
+    def test_all_small_maps(self):
+        maps = steps = 0
+        for m in enumerate_maps(4):
+            g = prefix_genera(m)
+            assert g == sorted(g), m
+            maps += 1
+            steps += len(g)
+        assert (maps, steps) == (5509, 45098)
+
+    @given(st.integers(0, 2**32), st.integers(0, 16), st.integers(0, 48))
+    def test_random_maps(self, seed, n_darts, n_link_attempts):
+        g = prefix_genera(random_map(seed, n_darts, n_link_attempts))
+        assert g == sorted(g)
+
+
 class TestIncrementalMap:
     def test_face_tracking(self, ):
         inc = IncrementalMap()
@@ -188,6 +223,16 @@ class TestIncrementalMap:
         assert not inc.can_link(d0, 2, 1)  # would close the orbit
         with pytest.raises(ConstraintError, match="close"):
             inc.link(d0, 2, 1)
+
+    @pytest.mark.parametrize("walk", ["same_face", "face_members"])
+    def test_broken_face_permutation_fails(self, walk):
+        # 1 -> 2 -> 3 -> 2 never returns to 1: an error, not an endless walk
+        inc = IncrementalMap()
+        for d in (1, 2, 3):
+            inc.insert(d)
+        inc.face_next.update({1: 2, 2: 3, 3: 2})
+        with pytest.raises(InternalInvariantError, match="dart 1"):
+            inc.same_face(1, 3) if walk == "same_face" else inc.face_members(1)
 
     def test_term_round_trip(self, digon):
         from hmap.fmap import history, Insert
