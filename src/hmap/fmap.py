@@ -10,8 +10,9 @@ chain is recovered by ``closed_successor``/``closed_predecessor``, under
 which a well-formed term presents as a pair of permutations of its darts.
 A link joins the top of one chain to the bottom of another, so the
 closure of a chain reads only its two ends; the chain kernel
-(``ChainKernel``) replays a term by pairing those ends, and answers the
-observers below, except ``top`` and ``bottom``, in constant time.  The
+(``ChainKernel``) is built by replaying a term, pairing those ends, and
+answers the observers below, except ``top`` and ``bottom``, in constant
+time.  Its checked construction is the well-formedness check.  The
 observers here walk the term and stay the reference semantics.
 
 Observers are total: queries about the reserved nil dart or about darts
@@ -309,9 +310,6 @@ class ChainTracker:
         self.pred: dict[Dart, Dart] = {}
         self.end: dict[Dart, Dart] = {}
 
-    def add(self, x: Dart) -> None:
-        self.end[x] = x
-
     def closed_succ(self, z: Dart) -> Dart:
         s = self.succ.get(z)
         return self.end[z] if s is None else s
@@ -334,26 +332,39 @@ class ChainTracker:
 
 
 class ChainKernel:
-    """The dart set and the open chains of both dimensions.
+    """The dart set and the open chains of both dimensions of a term.
 
     Each dimension is a :class:`ChainTracker`, so every step and every
     closure is a constant number of dict operations.  This is the one
     statement of the construction preconditions and of their messages,
     and of the fast form of the term observers: each answers as its
-    namesake in this module does on the replayed term, nil (or False)
-    outside the dart set.  Replaying a term through a kernel is the
-    well-formedness check; :class:`hmap.index.HypermapIndex` is the
-    kernel of its replay plus orbit labels, and
-    :class:`hmap.stats.IncrementalMap` a kernel that keeps its counts
-    current; the term-level checks and checked builders ask the kernel
-    of their base map.
+    namesake in this module does on the term, nil (or False) outside the
+    dart set.
+
+    ``ChainKernel(m)`` replays the steps of ``m`` in construction order,
+    in linear time, and is the one way a kernel is built.  With ``check``
+    on, the first step whose precondition fails raises ConstraintError
+    naming it, which makes the constructor the well-formedness check;
+    with ``check`` off the steps are applied blindly, which is sound only
+    on a term known to be well formed.  :class:`hmap.index.HypermapIndex`
+    is a kernel plus orbit labels, :class:`hmap.stats.IncrementalMap` an
+    empty kernel that keeps its counts current.
     """
 
     __slots__ = ("dart_set", "chains")
 
-    def __init__(self) -> None:
+    def __init__(self, m: FreeMap = Void(), *, check: bool = True) -> None:
         self.dart_set: set[Dart] = set()
         self.chains = (ChainTracker(), ChainTracker())
+        for node in history(m):
+            if isinstance(node, Insert):
+                if check:
+                    self.require_insert(node.x)
+                self.add_dart(node.x)
+            else:
+                if check:
+                    self.require_link(node.k, node.x, node.y)
+                self.chains[node.k.value].link(node.x, node.y)
 
     # -- the term observers ---------------------------------------------------
 
@@ -439,46 +450,25 @@ class ChainKernel:
     def add_dart(self, x: Dart) -> None:
         """Insert ``x`` without checking its precondition."""
         self.dart_set.add(x)
-        self.chains[0].add(x)
-        self.chains[1].add(x)
-
-
-def replay(m: FreeMap, *, check: bool = True) -> tuple[ChainKernel, str | None]:
-    """Replay the steps of ``m`` in construction order into a fresh kernel.
-
-    With ``check`` on, stops at the first step whose precondition fails
-    and returns the kernel built so far with that step's violation; the
-    whole check is linear in the term.  With ``check`` off the steps are
-    applied blindly, which is sound only on a term known to be well
-    formed, and the violation is always None.
-    """
-    kern = ChainKernel()
-    try:
-        for node in history(m):
-            if isinstance(node, Insert):
-                if check:
-                    kern.require_insert(node.x)
-                kern.add_dart(node.x)
-            else:
-                if check:
-                    kern.require_link(node.k, node.x, node.y)
-                kern.chains[node.k.value].link(node.x, node.y)
-    except ConstraintError as exc:
-        return kern, str(exc)
-    return kern, None
+        self.chains[0].end[x] = x
+        self.chains[1].end[x] = x
 
 
 def kernel_of(m: FreeMap) -> ChainKernel:
-    """The replayed kernel of ``m``; raises MapError when ``m`` is not well formed."""
-    kern, reason = replay(m)
-    if reason is not None:
-        raise MapError(f"map is not well formed: {reason}")
-    return kern
+    """The kernel of ``m``; raises MapError when ``m`` is not well formed."""
+    try:
+        return ChainKernel(m)
+    except ConstraintError as exc:
+        raise MapError(f"map is not well formed: {exc}") from None
 
 
 def well_formed_violation(m: FreeMap) -> str | None:
     """First construction step of ``m`` whose precondition fails, or None."""
-    return replay(m)[1]
+    try:
+        ChainKernel(m)
+    except ConstraintError as exc:
+        return str(exc)
+    return None
 
 
 def is_well_formed(m: FreeMap) -> bool:
@@ -490,28 +480,14 @@ def is_well_formed(m: FreeMap) -> bool:
 # term-level preconditions and checked builders
 
 
-def insert_violation(m: FreeMap, x: Dart) -> str | None:
-    """Reason ``x`` cannot be inserted into ``m``, or None when it can.
-
-    ``m`` must be well formed; MapError is raised otherwise.
-    """
-    return kernel_of(m).insert_violation(x)
-
-
 def can_insert(m: FreeMap, x: Dart) -> bool:
-    return insert_violation(m, x) is None
-
-
-def link_violation(m: FreeMap, k: Dim, x: Dart, y: Dart) -> str | None:
-    """Reason ``x -> y`` cannot be linked in ``m`` at dimension ``k``, or None.
-
-    ``m`` must be well formed; MapError is raised otherwise.
-    """
-    return kernel_of(m).link_violation(k, x, y)
+    """``x`` can be inserted into ``m``; MapError if ``m`` is not well formed."""
+    return kernel_of(m).insert_violation(x) is None
 
 
 def can_link(m: FreeMap, k: Dim, x: Dart, y: Dart) -> bool:
-    return link_violation(m, k, x, y) is None
+    """``x -> y`` can be linked in ``m``; MapError if ``m`` is not well formed."""
+    return kernel_of(m).link_violation(k, x, y) is None
 
 
 def insert_dart(m: FreeMap, x: Dart) -> FreeMap:
@@ -534,9 +510,7 @@ def make_map(darts: Iterable[Dart], links: Iterable[tuple[Dim, Dart, Dart]] = ()
         m = Insert(m, d)
     for k, x, y in links:
         m = Link(m, k, x, y)
-    reason = well_formed_violation(m)
-    if reason is not None:
-        raise ConstraintError(reason)
+    ChainKernel(m)
     return m
 
 

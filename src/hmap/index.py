@@ -2,10 +2,11 @@
 
 The recursive observers in :mod:`hmap.fmap` walk the term on every query,
 which is the right reference semantics but quadratic in bulk use.  A
-:class:`HypermapIndex` replays the term once and is the kernel of that
-replay, which holds the explicit links and pairs the two ends of every
-open chain.  To it the index adds the closures, the face permutation
-and the four orbit partitions, answering all further queries in O(1).
+:class:`HypermapIndex` is a chain kernel, built by the kernel's
+constructor in one replay of the term; the kernel holds the explicit
+links and pairs the two ends of every open chain.  To it the index adds
+the closures, the face permutation and the four orbit partitions,
+answering all further queries in O(1).
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ from dataclasses import dataclass
 from .fmap import (
     NIL,
     ChainKernel,
+    ConstraintError,
     Dart,
     Dim,
     FreeMap,
     Insert,
     InternalInvariantError,
+    MapError,
     history,
     kernel_of,
-    replay,
 )
 from .unionfind import UnionFind
 
@@ -97,10 +99,10 @@ def _orbit_ids(starts: list[Dart], *perms: dict[Dart, Dart]) -> dict[Dart, Dart]
 class HypermapIndex(ChainKernel):
     """Precomputed views of one well-formed map term.
 
-    The index is the kernel of its replay: it takes over the replay's
-    dart set and chains, which answer the explicit links, the closures,
-    the face successors and the construction preconditions on the
-    indexed map.  On top of them it keeps the sorted ``darts``, the
+    The index is the kernel of its term, built by the kernel's
+    constructor: its dart set and chains answer the explicit links, the
+    closures, the face successors and the construction preconditions on
+    the indexed map.  On top of them it keeps the sorted ``darts``, the
     closures ``closure[k]`` and ``face_perm`` as permutation dicts, and
     the ``*_ids`` labellings, which map each dart to its orbit's
     representative: the bottom of its open chain for edges and
@@ -114,8 +116,10 @@ class HypermapIndex(ChainKernel):
     )
 
     def __init__(self, m: FreeMap, *, check: bool = True) -> None:
-        kern = kernel_of(m) if check else replay(m, check=False)[0]
-        self.dart_set, self.chains = kern.dart_set, kern.chains
+        try:
+            super().__init__(m, check=check)
+        except ConstraintError as exc:
+            raise MapError(f"map is not well formed: {exc}") from None
         ch0, ch1 = self.chains
         darts = sorted(self.dart_set)
 

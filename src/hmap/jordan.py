@@ -27,7 +27,6 @@ from .fmap import (
     Insert,
     Link,
     Void,
-    break_link,
 )
 from .index import (
     HypermapIndex,
@@ -90,11 +89,12 @@ def first_break_keeps_connected(m: FreeMap | HypermapIndex, items: RingList) -> 
 
 def tail_is_ring_after_first_break(m: FreeMap | HypermapIndex, items: RingList) -> bool:
     """After breaking the first item's link, the remaining items must
-    still satisfy all four ring conditions in the broken map."""
+    still satisfy all four ring conditions in the broken map.  Raises
+    ConstraintError when the first item has no 0-link to break."""
     if len(items) < 2:
         raise ConstraintError("needs a ring of length >= 2")
     term, _ = require_well_formed(m)
-    m1 = break_link(term, Dim.zero, items[0].x)
+    m1 = break_ring(term, items[:1])
     return check_ring(build_index(m1, check=False), items[1:]).valid
 
 

@@ -115,7 +115,9 @@ def same_component_structural(m: FreeMap, x: Dart, y: Dart) -> bool:
     relates anything reaching its tail to anything reached from its head,
     in both directions.  Kept as an independent reference for the
     union-find implementation; memoized per prefix so repeated subqueries
-    stay polynomial.
+    stay polynomial.  An oracle for small maps only: it recurses once per
+    step, so a term of about 1,000 steps exceeds the default recursion
+    limit, and a 100-dart map already takes seconds.
     """
     steps = history(m)
     memo: dict[tuple[int, Dart, Dart], bool] = {}

@@ -1,5 +1,6 @@
 """Term constructors, observers, preconditions, and destructors."""
 
+import random
 import warnings
 
 import pytest
@@ -8,6 +9,7 @@ from hmap import (
     NIL,
     ConstraintError,
     Dim,
+    IncrementalMap,
     Insert,
     InternalInvariantError,
     Link,
@@ -16,6 +18,7 @@ from hmap import (
     bottom,
     break_link,
     break_link_back,
+    build_index,
     can_insert,
     can_link,
     closed_face_predecessor,
@@ -40,9 +43,11 @@ from hmap import (
     unlink_back,
     well_formed_violation,
 )
-from hmap.fmap import history, replay
+from hmap.fmap import ChainKernel, history
 from hmap.io import parse_map, serialize_map
 from hmap.jordan import enumerate_maps, random_planar_map
+
+import conftest
 
 d0 = Dim.zero
 d1 = Dim.one
@@ -305,11 +310,75 @@ class TestWellFormed:
         for bad in (Link(Insert(Void(), 1), d0, 1, 1), Link(digon, d0, 2, 1),
                     Link(chain3, d0, 3, 1)):
             with pytest.raises(InternalInvariantError, match="would close a chain"):
-                replay(bad, check=False)
+                ChainKernel(bad, check=False)
 
     def test_checked_construction_always_well_formed(self, fixture15, digon, torus_quad):
         for m in (fixture15, digon, torus_quad):
             assert well_formed_violation(m) is None
+
+
+def _fed_step_by_step(m):
+    """An IncrementalMap fed the steps of ``m``, or the message of the
+    first step it refuses."""
+    inc = IncrementalMap()
+    try:
+        for node in history(m):
+            if isinstance(node, Insert):
+                inc.insert(node.x)
+            else:
+                inc.link(node.k, node.x, node.y)
+    except ConstraintError as exc:
+        return str(exc)
+    return inc
+
+
+def _kernel_state(kern):
+    """The darts, the links of both trackers and ``end`` at every chain end."""
+    out = [sorted(kern.dart_set)]
+    for c in kern.chains:
+        ends = {d: c.end[d] for d in kern.dart_set if d not in c.succ or d not in c.pred}
+        out.append((c.succ, c.pred, ends))
+    return out
+
+
+class TestKernelConstructor:
+    """``ChainKernel(m)`` is the one replay of a term: the index, the
+    incremental builder and the unchecked replay all hold the same state."""
+
+    FIXTURES = [getattr(conftest, name)() for name in dir(conftest)
+                if name.startswith("build_")]
+
+    def test_every_build_holds_the_same_state(self):
+        for m in [*self.FIXTURES, *enumerate_maps(4)]:
+            want = _kernel_state(ChainKernel(m))
+            assert _kernel_state(ChainKernel(m, check=False)) == want
+            assert _kernel_state(build_index(m)) == want
+            assert _kernel_state(build_index(m, check=False)) == want
+            assert _kernel_state(_fed_step_by_step(m)) == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_raises_exactly_where_step_by_step_building_does(self, seed):
+        rng = random.Random(seed)
+        n_bad = 0
+        for _ in range(300):
+            m = Void()
+            for _ in range(rng.randrange(12)):
+                if rng.random() < 0.4:
+                    m = Insert(m, rng.randrange(-1, 6))
+                else:
+                    m = Link(m, Dim(rng.getrandbits(1)),
+                             rng.randrange(-1, 6), rng.randrange(-1, 6))
+            fed = _fed_step_by_step(m)
+            if isinstance(fed, str):
+                n_bad += 1
+                with pytest.raises(ConstraintError) as err:
+                    ChainKernel(m)
+                assert str(err.value) == fed
+                assert well_formed_violation(m) == fed
+            else:
+                assert _kernel_state(ChainKernel(m)) == _kernel_state(fed)
+                assert well_formed_violation(m) is None
+        assert 0 < n_bad < 300
 
 
 class TestDestructors:

@@ -78,6 +78,14 @@ class TestLemmas:
         with pytest.raises(MapError, match="not well formed"):
             tail_is_ring_after_first_break(bad, DIGON_RING)
 
+    @pytest.mark.parametrize("first", [2, 9])
+    def test_tail_lemma_raises_without_a_first_link(self, digon, first):
+        # dart 2 has no 0-link in the digon, and dart 9 is not in it
+        items = [RingItem(first, True), RingItem(3, False)]
+        with pytest.raises(ConstraintError,
+                           match=f"item 0: dart {first} has no 0-link left to break"):
+            tail_is_ring_after_first_break(digon, items)
+
     def test_need_two_items(self, two_dart_edge):
         with pytest.raises(ConstraintError, match=">= 2"):
             first_break_keeps_connected(two_dart_edge, [RingItem(1, True)])

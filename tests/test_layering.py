@@ -6,6 +6,9 @@ them; every other module asks a kernel or an index instead.
 
 A function that reads a map takes it as one argument, the term or its
 index, so no public function has an ``index`` parameter as well.
+
+Every kernel is built by ``ChainKernel``'s constructor in ``fmap``: no
+other module assigns a kernel's ``dart_set`` or ``chains``.
 """
 
 import ast
@@ -53,3 +56,16 @@ def test_no_public_function_takes_an_index_keyword():
         if "index" in params:
             offenders.append(name)
     assert offenders == []
+
+
+def _kernel_state_stores(path: Path) -> list[str]:
+    return sorted({node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                   and node.attr in ("dart_set", "chains")})
+
+
+def test_only_fmap_builds_kernel_state():
+    offenders = {p.name: _kernel_state_stores(p) for p in sorted(SRC.glob("*.py"))
+                 if p.stem != "fmap"}
+    assert {name: attrs for name, attrs in offenders.items() if attrs} == {}
+    assert _kernel_state_stores(SRC / "fmap.py") == ["chains", "dart_set"]
