@@ -70,7 +70,7 @@ def planar_from_break(m: FreeMap | HypermapIndex, k: Dim, x: Dart) -> bool:
     y = kern.successor(k, x)
     _require(y != NIL, f"dart {x} has no {k.value}-successor")
     m0 = break_link(term, k, x)
-    idx0 = build_index(m0, check=False)
+    idx0 = build_index(m0)
     return _criterion(idx0, k, x, y)
 
 

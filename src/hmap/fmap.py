@@ -146,15 +146,11 @@ def _spine(m: FreeMap) -> tuple[list[Insert | Link], object]:
 
 def history(m: FreeMap) -> list[Insert | Link]:
     """Constructor steps of ``m`` in construction order (innermost first)."""
-    out: list[Insert | Link] = []
-    cur = m
-    while not isinstance(cur, Void):
-        if not isinstance(cur, (Insert, Link)):
-            raise TypeError(f"not a map term: {cur!r}")
-        out.append(cur)
-        cur = cur.base
-    out.reverse()
-    return out
+    steps, bottom = _spine(m)
+    if not isinstance(bottom, Void):
+        raise TypeError(f"not a map term: {bottom!r}")
+    steps.reverse()
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +289,22 @@ def closed_face_predecessor(m: FreeMap, z: Dart) -> Dart:
 # the chain kernel: construction preconditions, replay, well-formedness
 
 class ChainTracker:
-    """The open chains of one dimension, tracked by their two ends.
+    """The open chains of dimension ``k``, tracked by their two ends.
 
     ``end`` pairs each chain's bottom with its top and its top with its
-    bottom; a lone dart is paired with itself.  A link ``x -> y`` joins
-    the top ``x`` of one chain to the bottom ``y`` of another, so only
-    ends are ever read: the closures need the far end of a dart without
-    a successor (a top) or without a predecessor (a bottom).  The entry
-    of a dart that a link made inner is stale and never read.
+    bottom; a lone dart is paired with itself, so the keys of ``end`` are
+    the darts.  A link ``x -> y`` joins the top ``x`` of one chain to the
+    bottom ``y`` of another, so only ends are ever read: the closures
+    need the far end of a dart without a successor (a top) or without a
+    predecessor (a bottom).  The entry of a dart that a link made inner
+    is stale and never read.  ``violation`` is the one statement of the
+    link rule; ``link`` refuses a link that breaks it before any change.
     """
 
-    __slots__ = ("succ", "pred", "end")
+    __slots__ = ("k", "succ", "pred", "end")
 
-    def __init__(self) -> None:
+    def __init__(self, k: int) -> None:
+        self.k = k
         self.succ: dict[Dart, Dart] = {}
         self.pred: dict[Dart, Dart] = {}
         self.end: dict[Dart, Dart] = {}
@@ -318,13 +317,33 @@ class ChainTracker:
         s = self.pred.get(z)
         return self.end[z] if s is None else s
 
+    def violation(self, x: Dart, y: Dart) -> str | None:
+        """Reason ``x -> y`` cannot be linked, or None.  The closure
+        conjunct, that the closed successor of the top ``x`` (its
+        ``end``) is not ``y``, keeps every orbit an open chain."""
+        end = self.end
+        if x not in end:
+            return f"dart {x} does not exist"
+        if y not in end:
+            return f"dart {y} does not exist"
+        if x in self.succ:
+            return f"dart {x} already has a {self.k}-successor"
+        if y in self.pred:
+            return f"dart {y} already has a {self.k}-predecessor"
+        if end[x] == y:
+            return f"linking {x}->{y} would close the {self.k}-orbit"
+        return None
+
+    def refusal(self, x: Dart, y: Dart, reason: str) -> ConstraintError:
+        """The error that names the link step ``x -> y`` and its ``reason``."""
+        return ConstraintError(f"link {x}->{y} at dim {self.k}: {reason}")
+
     def link(self, x: Dart, y: Dart) -> None:
-        # caller guarantees: x is a top and y a bottom; they are the two
-        # ends of one chain exactly when the link would close a cycle
+        reason = self.violation(x, y)
+        if reason is not None:
+            raise self.refusal(x, y, reason)
         end = self.end
         bottom, top = end[x], end[y]
-        if bottom == y:
-            raise InternalInvariantError(f"link {x}->{y} would close a chain")
         self.succ[x] = y
         self.pred[y] = x
         end[bottom] = top
@@ -335,36 +354,38 @@ class ChainKernel:
     """The dart set and the open chains of both dimensions of a term.
 
     Each dimension is a :class:`ChainTracker`, so every step and every
-    closure is a constant number of dict operations.  This is the one
-    statement of the construction preconditions and of their messages,
-    and of the fast form of the term observers: each answers as its
-    namesake in this module does on the term, nil (or False) outside the
-    dart set.
+    closure is a constant number of dict operations.  With its trackers
+    this is the one statement of the construction preconditions and of
+    their messages, and of the fast form of the term observers: each
+    answers as its namesake in this module does on the term, nil (or
+    False) outside the dart set.
 
     ``ChainKernel(m)`` replays the steps of ``m`` in construction order,
-    in linear time, and is the one way a kernel is built.  With ``check``
-    on, the first step whose precondition fails raises ConstraintError
-    naming it, which makes the constructor the well-formedness check;
-    with ``check`` off the steps are applied blindly, which is sound only
-    on a term known to be well formed.  :class:`hmap.index.HypermapIndex`
-    is a kernel plus orbit labels, :class:`hmap.stats.IncrementalMap` an
-    empty kernel that keeps its counts current.
+    in linear time, and is the one way a kernel is built.  Every step is
+    checked: the first whose precondition fails raises ConstraintError
+    naming it, so a kernel exists only for a well-formed term and the
+    constructor is the well-formedness check.
+    :class:`hmap.index.HypermapIndex` is a kernel plus orbit labels,
+    :class:`hmap.stats.IncrementalMap` an empty kernel that keeps its
+    counts current.
     """
 
     __slots__ = ("dart_set", "chains")
 
-    def __init__(self, m: FreeMap = Void(), *, check: bool = True) -> None:
+    def __init__(self, m: FreeMap = Void()) -> None:
         self.dart_set: set[Dart] = set()
-        self.chains = (ChainTracker(), ChainTracker())
+        self.chains = (ChainTracker(0), ChainTracker(1))
+        c0, c1 = self.chains
+        zero, one = Dim.zero, Dim.one  # identity tests, not Dim.value reads
         for node in history(m):
             if isinstance(node, Insert):
-                if check:
-                    self.require_insert(node.x)
                 self.add_dart(node.x)
+            elif node.k is zero:
+                c0.link(node.x, node.y)
+            elif node.k is one:
+                c1.link(node.x, node.y)
             else:
-                if check:
-                    self.require_link(node.k, node.x, node.y)
-                self.chains[node.k.value].link(node.x, node.y)
+                raise TypeError(f"not a dimension: {node.k!r}")
 
     # -- the term observers ---------------------------------------------------
 
@@ -414,41 +435,23 @@ class ChainKernel:
         return None
 
     def link_violation(self, k: Dim, x: Dart, y: Dart) -> str | None:
-        """Reason ``x -> y`` cannot be linked at dimension ``k``, or None.
-
-        The closure conjunct (the closed successor of ``x`` must differ from
-        ``y``) is what keeps every orbit an open chain.
-        """
-        if x not in self.dart_set:
-            return f"dart {x} does not exist"
-        if y not in self.dart_set:
-            return f"dart {y} does not exist"
-        c = self.chains[k.value]
-        if x in c.succ:
-            return f"dart {x} already has a {k.value}-successor"
-        if y in c.pred:
-            return f"dart {y} already has a {k.value}-predecessor"
-        if c.closed_succ(x) == y:
-            return f"linking {x}->{y} would close the {k.value}-orbit"
-        return None
+        """Reason ``x -> y`` cannot be linked at dimension ``k``, or None."""
+        return self.chains[k.value].violation(x, y)
 
     def can_link(self, k: Dim, x: Dart, y: Dart) -> bool:
         return self.link_violation(k, x, y) is None
-
-    def require_insert(self, x: Dart) -> None:
-        """Raise ConstraintError, naming the step, unless ``x`` can be inserted."""
-        reason = self.insert_violation(x)
-        if reason is not None:
-            raise ConstraintError(f"insert {x}: {reason}")
 
     def require_link(self, k: Dim, x: Dart, y: Dart) -> None:
         """Raise ConstraintError, naming the step, unless ``x -> y`` can be linked."""
         reason = self.link_violation(k, x, y)
         if reason is not None:
-            raise ConstraintError(f"link {x}->{y} at dim {k.value}: {reason}")
+            raise self.chains[k.value].refusal(x, y, reason)
 
     def add_dart(self, x: Dart) -> None:
-        """Insert ``x`` without checking its precondition."""
+        """Insert ``x``; ConstraintError, naming the step, unless it can be."""
+        reason = self.insert_violation(x)
+        if reason is not None:
+            raise ConstraintError(f"insert {x}: {reason}")
         self.dart_set.add(x)
         self.chains[0].end[x] = x
         self.chains[1].end[x] = x
@@ -492,7 +495,7 @@ def can_link(m: FreeMap, k: Dim, x: Dart, y: Dart) -> bool:
 
 def insert_dart(m: FreeMap, x: Dart) -> FreeMap:
     """Checked insertion into the well-formed map ``m``."""
-    kernel_of(m).require_insert(x)
+    kernel_of(m).add_dart(x)
     return Insert(m, x)
 
 

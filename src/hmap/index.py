@@ -99,12 +99,13 @@ def _orbit_ids(starts: list[Dart], *perms: dict[Dart, Dart]) -> dict[Dart, Dart]
 class HypermapIndex(ChainKernel):
     """Precomputed views of one well-formed map term.
 
-    The index is the kernel of its term, built by the kernel's
-    constructor: its dart set and chains answer the explicit links, the
-    closures, the face successors and the construction preconditions on
-    the indexed map.  On top of them it keeps the sorted ``darts``, the
-    closures ``closure[k]`` and ``face_perm`` as permutation dicts, and
-    the ``*_ids`` labellings, which map each dart to its orbit's
+    The index is the kernel of its term, built by the kernel's checked
+    constructor (MapError on a term that is not well formed): its dart
+    set and chains answer the explicit links, the closures, the face
+    successors and the construction preconditions on the indexed map.
+    On top of them it keeps the sorted ``darts``, the closures
+    ``closure[k]`` and ``face_perm`` as permutation dicts, and the
+    ``*_ids`` labellings, which map each dart to its orbit's
     representative: the bottom of its open chain for edges and
     vertices, the orbit's minimum dart for faces and components.
     """
@@ -115,9 +116,9 @@ class HypermapIndex(ChainKernel):
         "stats",
     )
 
-    def __init__(self, m: FreeMap, *, check: bool = True) -> None:
+    def __init__(self, m: FreeMap) -> None:
         try:
-            super().__init__(m, check=check)
+            super().__init__(m)
         except ConstraintError as exc:
             raise MapError(f"map is not well formed: {exc}") from None
         ch0, ch1 = self.chains
@@ -172,18 +173,18 @@ class HypermapIndex(ChainKernel):
         return ia is not None and ia == self.component_ids.get(b)
 
 
-def build_index(m: FreeMap, *, check: bool = True) -> HypermapIndex:
-    """Index ``m``; with ``check`` on, reject terms that are not well formed."""
-    return HypermapIndex(m, check=check)
+def build_index(m: FreeMap) -> HypermapIndex:
+    """Index ``m``; MapError if ``m`` is not well formed."""
+    return HypermapIndex(m)
 
 
 def count_components(m: FreeMap) -> int:
     """Number of connected components of ``m``, without an index.
 
     One pass over the steps of ``m``: every insert adds a component and
-    every link that joins two components removes one.  Like
-    ``build_index(m, check=False)`` it does not check the term, so ``m``
-    must be well formed.
+    every link that joins two components removes one.  It does not check
+    the term, so ``m`` must be well formed: use it on a term built from
+    one already checked, as a ring break is.
     """
     uf = UnionFind()
     n = 0

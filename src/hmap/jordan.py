@@ -95,7 +95,7 @@ def tail_is_ring_after_first_break(m: FreeMap | HypermapIndex, items: RingList) 
         raise ConstraintError("needs a ring of length >= 2")
     term, _ = require_well_formed(m)
     m1 = break_ring(term, items[:1])
-    return check_ring(build_index(m1, check=False), items[1:]).valid
+    return check_ring(build_index(m1), items[1:]).valid
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +359,7 @@ def fuzz_jordan(trials: int, seed: int, size_bound: int, *,
         rng = random.Random(trial_seed)
         n_links = rng.randint(n_darts // 2, link_budget)
         m = random_planar_map(trial_seed, n_darts, n_links)
-        idx = build_index(m, check=False)
+        idx = build_index(m)
         ring = find_ring(idx, 4, trial_seed)
         if ring is None:
             continue
@@ -472,7 +472,7 @@ def exhaustive_jordan(max_darts: int, max_ring_len: int) -> ExhaustiveReport:
     report = ExhaustiveReport()
     for m in enumerate_maps(max_darts):
         report.maps_seen += 1
-        idx = build_index(m, check=False)
+        idx = build_index(m)
         if not idx.stats.planar:
             continue
         report.planar_maps += 1

@@ -79,12 +79,6 @@ class TheoremReport:
     def passed(self) -> bool:
         return all(item.passed for item in self.items)
 
-    def witness_text(self) -> str:
-        if self.witness is None:
-            return ""
-        from .io import serialize_map
-        return serialize_map(self.witness)
-
     def summary(self) -> str:
         verdict = "pass" if self.passed else "FAIL"
         parts = [f"{self.subject}: {verdict}"]
@@ -197,7 +191,6 @@ class IncrementalMap(ChainKernel):
     link_keeps_planar = _link_keeps_planar
 
     def insert(self, x: Dart) -> None:
-        self.require_insert(x)
         self.add_dart(x)
         self.components.add(x)
         self.face_next[x] = x

@@ -145,7 +145,7 @@ def test_04_criterion_equivalence_exhaustive():
     maps = link_pairs = break_points = disconnect_points = mismatches = 0
     for m in enumerate_maps(5):
         maps += 1
-        idx = build_index(m, check=False)
+        idx = build_index(m)
         planar = idx.stats.planar
         nc = idx.stats.n_components
         succ0 = idx.chains[0].succ
@@ -159,7 +159,7 @@ def test_04_criterion_equivalence_exhaustive():
                     continue
                 link_pairs += 1
                 predicted = planar_after_link(idx, d0, x, y)
-                actual = build_index(Link(m, d0, x, y), check=False).stats.planar
+                actual = build_index(Link(m, d0, x, y)).stats.planar
                 if predicted != actual:
                     mismatches += 1
         for x in succ0:

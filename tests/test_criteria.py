@@ -106,15 +106,15 @@ class TestExhaustiveSmall:
 
     def test_link_criterion_equals_genus_oracle(self):
         for m in enumerate_maps(3):
-            idx = build_index(m, check=False)
+            idx = build_index(m)
             for k in (d0, d1):
                 for x, y in _prec_link_pairs(idx, k):
-                    want = build_index(Link(m, k, x, y), check=False).stats.planar
+                    want = build_index(Link(m, k, x, y)).stats.planar
                     assert planar_after_link(idx, k, x, y) == want
 
     def test_break_criterion_equals_planarity(self):
         for m in enumerate_maps(3):
-            idx = build_index(m, check=False)
+            idx = build_index(m)
             for k in (d0, d1):
                 for x in idx.darts:
                     if idx.has_successor(k, x):
@@ -122,7 +122,7 @@ class TestExhaustiveSmall:
 
     def test_disconnect_criterion_equals_connectivity_change(self):
         for m in enumerate_maps(3):
-            idx = build_index(m, check=False)
+            idx = build_index(m)
             if not idx.stats.planar:
                 continue
             for x in idx.darts:

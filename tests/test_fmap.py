@@ -11,7 +11,6 @@ from hmap import (
     Dim,
     IncrementalMap,
     Insert,
-    InternalInvariantError,
     Link,
     MapError,
     Void,
@@ -304,13 +303,26 @@ class TestWellFormed:
         bad = Link(digon, d0, 2, 1)
         assert not is_well_formed(bad)
 
-    def test_unchecked_replay_refuses_to_close_a_chain(self, digon):
-        # the kernel's own guard, which a checked replay never reaches
-        chain3 = make_map([1, 2, 3], [(d0, 1, 2), (d0, 2, 3)])
-        for bad in (Link(Insert(Void(), 1), d0, 1, 1), Link(digon, d0, 2, 1),
-                    Link(chain3, d0, 3, 1)):
-            with pytest.raises(InternalInvariantError, match="would close a chain"):
-                ChainKernel(bad, check=False)
+    @pytest.mark.parametrize("k", list(Dim))
+    def test_tracker_refuses_each_conjunct_before_linking(self, k):
+        # the tracker's link is itself checked: it raises require_link's
+        # message and leaves its chains as they were
+        kern = ChainKernel(make_map([1, 2, 3], [(k, 1, 2)]))
+        c = kern.chains[k.value]
+        cases = {(9, 1): "dart 9 does not exist", (3, 9): "dart 9 does not exist",
+                 (1, 3): f"dart 1 already has a {k.value}-successor",
+                 (3, 2): f"dart 2 already has a {k.value}-predecessor",
+                 (2, 1): f"linking 2->1 would close the {k.value}-orbit",
+                 (3, 3): f"linking 3->3 would close the {k.value}-orbit"}
+        for (x, y), reason in cases.items():
+            with pytest.raises(ConstraintError) as want:
+                kern.require_link(k, x, y)
+            assert str(want.value) == f"link {x}->{y} at dim {k.value}: {reason}"
+            before = (dict(c.succ), dict(c.pred), dict(c.end))
+            with pytest.raises(ConstraintError) as got:
+                c.link(x, y)
+            assert str(got.value) == str(want.value)
+            assert (c.succ, c.pred, c.end) == before
 
     def test_checked_construction_always_well_formed(self, fixture15, digon, torus_quad):
         for m in (fixture15, digon, torus_quad):
@@ -342,8 +354,8 @@ def _kernel_state(kern):
 
 
 class TestKernelConstructor:
-    """``ChainKernel(m)`` is the one replay of a term: the index, the
-    incremental builder and the unchecked replay all hold the same state."""
+    """``ChainKernel(m)`` is the one replay of a term: the index and the
+    incremental builder hold the same state."""
 
     FIXTURES = [getattr(conftest, name)() for name in dir(conftest)
                 if name.startswith("build_")]
@@ -351,9 +363,7 @@ class TestKernelConstructor:
     def test_every_build_holds_the_same_state(self):
         for m in [*self.FIXTURES, *enumerate_maps(4)]:
             want = _kernel_state(ChainKernel(m))
-            assert _kernel_state(ChainKernel(m, check=False)) == want
             assert _kernel_state(build_index(m)) == want
-            assert _kernel_state(build_index(m, check=False)) == want
             assert _kernel_state(_fed_step_by_step(m)) == want
 
     @pytest.mark.parametrize("seed", range(4))

@@ -139,7 +139,7 @@ def test_odd_characteristic_is_internal_error():
 
 def test_count_components_matches_index_on_all_small_maps():
     for m in enumerate_maps(4):
-        assert count_components(m) == build_index(m, check=False).stats.n_components, m
+        assert count_components(m) == build_index(m).stats.n_components, m
 
 
 def test_count_components_matches_index_on_every_ring_break_recount(monkeypatch):
@@ -147,7 +147,7 @@ def test_count_components_matches_index_on_every_ring_break_recount(monkeypatch)
 
     def checked(m):
         n = count_components(m)
-        assert n == build_index(m, check=False).stats.n_components, m
+        assert n == build_index(m).stats.n_components, m
         recounts.append(n)
         return n
 

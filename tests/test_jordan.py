@@ -1,5 +1,7 @@
 """Ring-break law, its two lemmas, generators, search, fuzz, enumeration."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from hmap import (
@@ -28,6 +30,7 @@ from hmap import (
     random_planar_map,
     tail_is_ring_after_first_break,
 )
+from hmap import jordan
 
 from conftest import build_digon
 
@@ -151,7 +154,7 @@ class TestFindRing:
     def test_none_exactly_when_no_candidate(self):
         # find_ring is the first hit of the search candidate_rings runs
         for i, m in enumerate(enumerate_maps(4)):
-            idx = build_index(m, check=False)
+            idx = build_index(m)
             for max_len in (1, 2, 3):
                 none_exists = next(candidate_rings(idx, max_len), None) is None
                 ring = find_ring(m, max_len, i)
@@ -252,6 +255,19 @@ class TestEnumeration:
         assert rep.rings_checked > 0
         assert rep.ring_soundness_failures == 0
 
+    def test_exhaustive_jordan_counts_injected_faults(self, monkeypatch):
+        # each failure counter runs only when its check fails, so fail it
+        rings = exhaustive_jordan(3, 3).rings_checked
+        monkeypatch.setattr(jordan, "count_components", lambda m: -1)
+        rep = exhaustive_jordan(3, 3)
+        assert (rep.delta_failures, rep.ring_soundness_failures) == (rings, 0)
+        assert not rep.passed and "verdict=FAIL" in rep.summary()
+        monkeypatch.setattr(jordan, "check_ring",
+                            lambda idx, ring: SimpleNamespace(valid=False))
+        rep = exhaustive_jordan(3, 3)
+        assert (rep.delta_failures, rep.ring_soundness_failures) == (0, rings)
+        assert not rep.passed
+
 
 class TestSwapOracle:
     """Breaking along a ring must equal swapping the two closure images
@@ -275,5 +291,5 @@ class TestSwapOracle:
                     ca0[z] = x0
                 elif w == x0:
                     ca0[z] = y
-        broken_idx = build_index(break_ring(m, ring), check=False)
+        broken_idx = build_index(break_ring(m, ring))
         assert ca0 == broken_idx.closure[0]

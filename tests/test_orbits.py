@@ -5,10 +5,13 @@ import pytest
 
 from hmap import (
     ConstraintError,
+    Dim,
     Orbit,
     OrbitKind,
     all_orbits,
     build_index,
+    closed_face_successor,
+    closed_successor,
     make_map,
     orbit,
     same_component,
@@ -18,7 +21,7 @@ from hmap import (
     same_orbit,
     same_vertex,
 )
-from hmap.jordan import random_map
+from hmap.jordan import enumerate_maps, random_map
 
 
 def test_fixture_orbit_sets(fixture15):
@@ -31,6 +34,22 @@ def test_fixture_orbit_sets(fixture15):
 def test_fixture_face_iteration_order(fixture15):
     # cycle order from the queried dart
     assert orbit(fixture15, OrbitKind.face, 1).members == (1, 5, 2, 11, 12, 7, 6, 4, 9)
+
+
+def test_orbit_members_follow_the_recursive_successors(fixture15):
+    # cycle order, not just the member set, against the term oracle
+    steps = {
+        OrbitKind.edge: lambda m, z: closed_successor(m, Dim.zero, z),
+        OrbitKind.vertex: lambda m, z: closed_successor(m, Dim.one, z),
+        OrbitKind.face: closed_face_successor,
+    }
+    for m in [fixture15, *enumerate_maps(3)]:
+        idx = build_index(m)
+        for kind, step in steps.items():
+            for z in idx.darts:
+                members = orbit(idx, kind, z).members
+                assert [step(m, d) for d in members] == [*members[1:], members[0]], \
+                    (m, kind, z)
 
 
 def test_orbit_period_and_rep(fixture15):

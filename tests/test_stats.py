@@ -224,6 +224,13 @@ class TestIncrementalMap:
         with pytest.raises(ConstraintError, match="close"):
             inc.link(d0, 2, 1)
 
+    def test_same_face_is_false_when_either_dart_is_absent(self):
+        inc = IncrementalMap()
+        inc.insert(1)
+        assert inc.same_face(1, 1)
+        assert not inc.same_face(9, 1)
+        assert not inc.same_face(1, 9)
+
     @pytest.mark.parametrize("walk", ["same_face", "face_members"])
     def test_broken_face_permutation_fails(self, walk):
         # 1 -> 2 -> 3 -> 2 never returns to 1: an error, not an endless walk
