@@ -338,7 +338,9 @@ class ChainTracker:
         """The error that names the link step ``x -> y`` and its ``reason``."""
         return ConstraintError(f"link {x}->{y} at dim {self.k}: {reason}")
 
-    def link(self, x: Dart, y: Dart) -> None:
+    def link(self, x: Dart, y: Dart) -> tuple[Dart, Dart]:
+        """Apply ``x -> y``; returns the bottom of ``x``'s chain and the
+        top of ``y``'s, the two ends of the joined chain."""
         reason = self.violation(x, y)
         if reason is not None:
             raise self.refusal(x, y, reason)
@@ -348,6 +350,7 @@ class ChainTracker:
         self.pred[y] = x
         end[bottom] = top
         end[top] = bottom
+        return bottom, top
 
 
 class ChainKernel:

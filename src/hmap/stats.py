@@ -145,8 +145,8 @@ class IncrementalMap(ChainKernel):
 
     Each link changes the face permutation at exactly two darts and
     changes the face count by one; whether a face splits or two merge is
-    decided before mutating, by testing whether the two darts whose faces
-    the link touches already share a face.  The component count drops by
+    decided before the face permutation changes, by testing whether the
+    two darts whose faces the link touches already share a face.  The component count drops by
     one exactly when the link joins two components.  This is the
     recurrence backend cross-checked against orbit enumeration, and it is
     also what the planarity-preserving generator builds on, since the
@@ -184,7 +184,7 @@ class IncrementalMap(ChainKernel):
     # the class lists them as its own methods: per-class instrumentation
     # (such as the benchmark's tracer) sees every link attempt.  The
     # criteria's face-split and planarity-preservation tests are bound
-    # the same way; both are evaluated before the link mutates anything.
+    # the same way.
     link_violation = ChainKernel.link_violation
     can_link = ChainKernel.can_link
     link_splits_face = _link_splits_face
@@ -199,31 +199,22 @@ class IncrementalMap(ChainKernel):
         self._term = Insert(self._term, x)
 
     def link(self, k: Dim, x: Dart, y: Dart) -> None:
-        self.require_link(k, x, y)
-
-        # everything the update needs is read off before mutating
+        # the tracker checks and applies the link; the face test after it
+        # reads only the other dimension and face_next, which it leaves alone
+        bottom, top = self.chains[k.value].link(x, y)
         splits = self.link_splits_face(k, x, y)
-        merged_components = self.components.union(x, y)
 
-        # x is a top and y a bottom, so their closures are the far ends
+        # x was a top and y a bottom: bottom and top are their far ends
         c0, c1 = self.chains
         if k is Dim.zero:
-            b0x, t0y = c0.closed_succ(x), c0.closed_pred(y)
-            a1_inv_x = c1.closed_pred(x)
-            a1_inv_t0y = c1.closed_pred(t0y)
-            c0.link(x, y)
-            self.face_next[y] = a1_inv_x
-            self.face_next[b0x] = a1_inv_t0y
+            self.face_next[y] = c1.closed_pred(x)
+            self.face_next[bottom] = c1.closed_pred(top)
         else:
-            b1x, t1y = c1.closed_succ(x), c1.closed_pred(y)
-            a0_y = c0.closed_succ(y)
-            a0_b1x = c0.closed_succ(b1x)
-            c1.link(x, y)
-            self.face_next[a0_y] = x
-            self.face_next[a0_b1x] = t1y
+            self.face_next[c0.closed_succ(y)] = x
+            self.face_next[c0.closed_succ(bottom)] = top
 
         self.n_faces += 1 if splits else -1
-        if merged_components:
+        if self.components.union(x, y):
             self.n_components -= 1
         self._term = Link(self._term, k, x, y)
 

@@ -224,6 +224,36 @@ class TestIncrementalMap:
         with pytest.raises(ConstraintError, match="close"):
             inc.link(d0, 2, 1)
 
+    @pytest.mark.parametrize("k", [d0, d1])
+    @pytest.mark.parametrize("x, y, reason", [
+        (9, 1, "dart 9 does not exist"),
+        (1, 9, "dart 9 does not exist"),
+        (1, 3, "dart 1 already has a {k}-successor"),
+        (3, 2, "dart 2 already has a {k}-predecessor"),
+        (2, 1, "linking 2->1 would close the {k}-orbit"),
+    ])
+    def test_refused_link_names_its_conjunct_and_changes_nothing(self, k, x, y,
+                                                                 reason):
+        inc = IncrementalMap()
+        for d in (1, 2, 3, 4):
+            inc.insert(d)
+        inc.link(d0, 1, 2)
+        inc.link(d1, 1, 2)
+
+        def snapshot():
+            uf = inc.components
+            return (set(inc.dart_set),
+                    [(dict(c.succ), dict(c.pred), dict(c.end)) for c in inc.chains],
+                    dict(inc.face_next), inc.n_faces, inc.n_components,
+                    dict(uf._parent), dict(uf._size), inc.term())
+
+        before = snapshot()
+        message = f"link {x}->{y} at dim {k.value}: " + reason.format(k=k.value)
+        with pytest.raises(ConstraintError) as exc:
+            inc.link(k, x, y)
+        assert str(exc.value) == message
+        assert snapshot() == before
+
     def test_same_face_is_false_when_either_dart_is_absent(self):
         inc = IncrementalMap()
         inc.insert(1)
