@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -110,12 +111,16 @@ def random_map(seed: int, n_darts: int, n_link_attempts: int) -> FreeMap:
     for d in range(1, n_darts + 1):
         inc.insert(d)
     if n_darts > 0:
+        # randrange(n) + 1 draws what randint(1, n) draws, with less set-up
+        bit, randrange = rng.getrandbits, rng.randrange
+        can_link, link = inc.can_link, inc.link
+        dims = (Dim.zero, Dim.one)
         for _ in range(n_link_attempts):
-            k = Dim(rng.getrandbits(1))
-            x = rng.randint(1, n_darts)
-            y = rng.randint(1, n_darts)
-            if inc.can_link(k, x, y):
-                inc.link(k, x, y)
+            k = dims[bit(1)]
+            x = randrange(n_darts) + 1
+            y = randrange(n_darts) + 1
+            if can_link(k, x, y):
+                link(k, x, y)
     return inc.term()
 
 
@@ -124,11 +129,21 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
 
     Inserts darts 1..n, then mixes three kinds of planarity-preserving
     links, in the weights 2:3:3, until ``n_links`` are placed or the
-    attempt budget runs out: a bridge between two components, a face
-    split at dimension zero, and a face split at dimension one.
-    Isolated darts are planar, bridges keep the characteristic identity
-    across the merge, and splits add one face inside one component, so
-    every intermediate map is planar by construction.
+    budget of ``10 * n_links + 20`` attempts runs out: a bridge between
+    two components, a face split at dimension zero, and a face split at
+    dimension one.  Isolated darts are planar, bridges keep the
+    characteristic identity across the merge, and splits add one face
+    inside one component, so every intermediate map is planar by
+    construction.
+
+    By Euler's formula a planar map of ``n`` darts and ``nc`` components
+    holds at most ``2n - 2*nc`` links, fewer than ``2n``; so
+    ``n_links = 2 * n_darts`` always spends the whole budget and places
+    fewer links than asked.
+
+    The term is a fixed function of ``(seed, n_darts, n_links)``: the
+    draws, their order and the attempt count all decide it, and the
+    test suite pins the terms of a set of triples by their digest.
     """
     if n_darts < 0:
         raise ConstraintError(f"dart count {n_darts} is negative")
@@ -145,30 +160,38 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
     if n_links == 0:
         return inc.term()
 
-    moves = ["bridge", "split0", "split1"]
+    # The draws of rng.choices over the three moves with weights (2, 3, 3)
+    # and of rng.randint(1, n_darts), made without their per-call set-up:
+    # choices bisects the cumulative weights, randint adds 1 to randrange.
+    rand, randrange, choice = rng.random, rng.randrange, rng.choice
+    bit = rng.getrandbits
+    same_component, face_members = inc.same_component, inc.face_members
+    can_link, link = inc.can_link, inc.link
+    c0, c1 = inc.chains
+    zero, one = dims = (Dim.zero, Dim.one)
     placed = 0
-    budget = 10 * n_links + 20
-    while placed < n_links and budget > 0:
-        budget -= 1
-        move = rng.choices(moves, weights=(2, 3, 3))[0]
-        if move == "bridge":
-            x = rng.randint(1, n_darts)
-            y = rng.randint(1, n_darts)
-            if inc.same_component(x, y):
+    for _ in range(10 * n_links + 20):
+        move = bisect((2, 5, 8), rand() * 8.0, 0, 2)  # bridge, split0, split1
+        if move == 0:
+            x = randrange(n_darts) + 1
+            y = randrange(n_darts) + 1
+            if same_component(x, y):
                 continue
-            k = Dim(rng.getrandbits(1))
+            k = dims[bit(1)]
         else:
             # a and b share a face; the split links them through a closure
-            face = inc.face_members(rng.randint(1, n_darts))
-            a = rng.choice(face)
-            b = rng.choice(face)
-            if move == "split0":
-                k, x, y = Dim.zero, inc.chains[1].closed_succ(a), b
+            face = face_members(randrange(n_darts) + 1)
+            a = choice(face)
+            b = choice(face)
+            if move == 1:
+                k, x, y = zero, c1.closed_succ(a), b
             else:
-                k, x, y = Dim.one, a, inc.chains[0].closed_pred(b)
-        if inc.can_link(k, x, y):
-            inc.link(k, x, y)
+                k, x, y = one, a, c0.closed_pred(b)
+        if can_link(k, x, y):
+            link(k, x, y)
             placed += 1
+            if placed == n_links:
+                break
     return inc.term()
 
 

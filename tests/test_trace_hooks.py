@@ -49,3 +49,19 @@ def test_tracer_counts_a_sweep_and_restores_hmap():
     assert metrics["rings.breaks"][0] == 136
     assert after.keys() == before.keys()
     assert all(after[key] is obj for key, obj in before.items())
+
+
+def test_tracer_sees_every_link_attempt_of_the_generator():
+    # an attempt is one IncrementalMap.can_link; a generator that skipped
+    # it would read an accept ratio of 0 or 1
+    tracer = Tracer()
+    tracer.install()
+    try:
+        t0 = time.perf_counter()
+        hmap.fuzz_jordan(5, 1, 20)
+        busy = time.perf_counter() - t0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(1, busy, 1.0)
+    assert metrics["stats.link_attempts"][0] > 0
+    assert 0 < metrics["stats.link_accept_ratio"][0] < 1
