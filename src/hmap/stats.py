@@ -146,11 +146,12 @@ class IncrementalMap(ChainKernel):
     Each link changes the face permutation at exactly two darts and
     changes the face count by one; whether a face splits or two merge is
     decided before the face permutation changes, by testing whether the
-    two darts whose faces the link touches already share a face.  The component count drops by
-    one exactly when the link joins two components.  This is the
-    recurrence backend cross-checked against orbit enumeration, and it is
-    also what the planarity-preserving generator builds on, since the
-    split test doubles as the planarity-preservation test.
+    two darts whose faces the link touches already share a face.  The
+    component count drops by one exactly when the link joins two
+    components.  This is the recurrence backend cross-checked against
+    orbit enumeration, and it is also what the planarity-preserving
+    generator builds on, since the split test doubles as the
+    planarity-preservation test.
     """
 
     __slots__ = ("components", "face_next", "n_faces", "n_components", "_term")
