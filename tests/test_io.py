@@ -64,6 +64,56 @@ def test_bad_lines_report_line_numbers():
         parse_map("hmap 1\ni 1\ni 2\nl 0 1\n")
 
 
+HUGE = "9" * 5000
+
+# (text, line number, message) of the ParseError each text raises
+PARSE_ERRORS = [
+    ("", 1, "missing header 'hmap 1'"),
+    ("# only\n  # comments\n\n", 1, "missing header 'hmap 1'"),
+    ("hmap 2\ni 1\n", 1, "expected header 'hmap 1', got 'hmap 2'"),
+    ("hmap 1\ni 1\nhmap 1\n", 3, "unrecognized line 'hmap 1'"),
+    ("hmap　1\n", 1, "expected header 'hmap 1', got 'hmap\\u30001'"),
+    ("hmap 1\ni ²\n", 2, "expected a dart number, got '²'"),
+    ("hmap 1\ni -1\n", 2, "expected a dart number, got '-1'"),
+    ("hmap 1\ni 1 2\n", 2, "unrecognized line 'i 1 2'"),
+    (f"hmap 1\ni {HUGE}\n", 2, f"expected a dart number, got '{HUGE}'"),
+    ("hmap 1\nl 2 1 2\n", 2, "dimension must be 0 or 1, got '2'"),
+    ("hmap 1\nl 00 1 2\n", 2, "dimension must be 0 or 1, got '00'"),
+    ("hmap 1\nl ١ 1 2\n", 2, "dimension must be 0 or 1, got '١'"),
+    ("hmap 1\nl 0 1\n", 2, "unrecognized line 'l 0 1'"),
+    ("hmap 1\nl 0 a 2\n", 2, "expected a dart number, got 'a'"),
+    ("hmap 1\nl 1 1 2 3\n", 2, "unrecognized line 'l 1 1 2 3'"),
+    ("hmap 1\nx\n", 2, "unrecognized line 'x'"),
+    ("hmap 1\nI 1\n", 2, "unrecognized line 'I 1'"),
+    # the dimension is read before the darts, and x before y
+    ("hmap 1\nl 2 a b\n", 2, "dimension must be 0 or 1, got '2'"),
+    ("hmap 1\nl 0 a b\n", 2, "expected a dart number, got 'a'"),
+    # lines are counted as str.splitlines counts them, comments cut first
+    ("hmap 1\r\ni 1\x0cx # why\n", 3, "unrecognized line 'x'"),
+    ("#\nhmap 1\n\t i  1 　 2 #\n", 3, "unrecognized line 'i  1 \\u3000 2'"),
+]
+
+
+@pytest.mark.parametrize("text,line_no,message", PARSE_ERRORS,
+                         ids=[f"case{i}" for i in range(len(PARSE_ERRORS))])
+def test_parse_error_table(text, line_no, message):
+    with pytest.raises(ParseError) as info:
+        parse_map(text)
+    err = info.value
+    assert (err.line_no, err.message) == (line_no, message)
+    assert str(err) == f"line {line_no}: {message}"
+
+
+def test_whitespace_variants_parse_as_canonical_text():
+    canonical = "hmap 1\ni 1\ni 2\ni 3\nl 0 1 2\nl 1 2 3\n"
+    text = ("# a digon's half\r\n\r\nhmap 1  # header\r\n"
+            "\ti 1\r\ni　2\x0c\r\n  i 3\t\r\n\x0c\n"
+            "l 0\t1 2 # edge\r\n\r\n l　1 2　 3 \r\n# end")
+    m = parse_map(text)
+    assert m == parse_map(canonical)
+    assert serialize_map(m) == canonical
+
+
 def test_invariant_violations_are_not_parse_errors():
     m = parse_map("hmap 1\ni 1\ni 1\n")
     assert not is_well_formed(m)
