@@ -8,6 +8,7 @@ precondition errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -60,7 +61,12 @@ def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``run_cli`` call.
+
+    Parsing keeps no state in it: each call gets a new namespace, and
+    usage errors go to the ``sys.stderr`` of that call."""
     p = argparse.ArgumentParser(
         prog="hmap",
         description="hypermap terms: checking, counting, rings, breaks")
@@ -112,9 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

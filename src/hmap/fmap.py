@@ -52,6 +52,11 @@ class Dim(Enum):
         return f"Dim.{self.name}"
 
 
+# A read of ``Dim.zero`` (like one of ``k.value``) runs the enum metaclass's
+# attribute hook; per-call paths test ``k`` by identity with these instead.
+_ZERO, _ONE = Dim.zero, Dim.one
+
+
 class MapError(Exception):
     """Base class for errors raised by map operations."""
 
@@ -439,7 +444,11 @@ class ChainKernel:
 
     def link_violation(self, k: Dim, x: Dart, y: Dart) -> str | None:
         """Reason ``x -> y`` cannot be linked at dimension ``k``, or None."""
-        return self.chains[k.value].violation(x, y)
+        if k is _ZERO:
+            return self.chains[0].violation(x, y)
+        if k is _ONE:
+            return self.chains[1].violation(x, y)
+        raise TypeError(f"not a dimension: {k!r}")
 
     def can_link(self, k: Dim, x: Dart, y: Dart) -> bool:
         return self.link_violation(k, x, y) is None

@@ -12,6 +12,19 @@ line, innermost first, under a version header:
 term without validating construction preconditions; checking is a
 separate concern.  Ring files carry one ``<dart> <t|f>`` item per line
 in break order, with no header.
+
+``parse_map`` reads the text in one pass over ``str.splitlines()``,
+which also numbers the lines, and raises at the first fault, so the
+error names the first faulty line.  On that line the checks run in this
+order:
+
+1. before the header: the first line with content must be the header,
+   else "expected header"; text with no content line at all is
+   "missing header" at line 1;
+2. after it: the tag and the field count (``i`` with one field, ``l``
+   with three), else "unrecognized line";
+3. for a link, the dimension (``0`` or ``1``), then ``x``, then ``y``;
+   a dart must be ASCII digits that ``int`` converts.
 """
 
 from __future__ import annotations
@@ -22,6 +35,7 @@ from .orbits import OrbitKind, all_orbits
 from .rings import RingItem, RingList
 
 MAP_HEADER = "hmap 1"
+_DIMS = {"0": Dim.zero, "1": Dim.one}
 
 
 class ParseError(MapError):
@@ -55,39 +69,50 @@ def parse_map(text: str) -> FreeMap:
     preconditions are not (use the well-formedness check for those).
     """
     m: FreeMap = Void()
-    saw_header = False
-    for line_no, line in _content_lines(text):
-        if not saw_header:
+    lines = enumerate(text.splitlines(), start=1)
+    for line_no, raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if line:
             if line != MAP_HEADER:
                 raise ParseError(line_no,
                                  f"expected header {MAP_HEADER!r}, got {line!r}")
-            saw_header = True
+            break
+    else:
+        raise ParseError(1, f"missing header {MAP_HEADER!r}")
+    for line_no, raw in lines:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "i" and len(parts) == 2:
+        n = len(parts)
+        tag = parts[0]
+        if n == 2 and tag == "i":
             m = Insert(m, _parse_dart(parts[1], line_no))
-        elif parts[0] == "l" and len(parts) == 4:
-            if parts[1] not in ("0", "1"):
+        elif n == 4 and tag == "l":
+            k = _DIMS.get(parts[1])
+            if k is None:
                 raise ParseError(line_no,
                                  f"dimension must be 0 or 1, got {parts[1]!r}")
-            k = Dim(int(parts[1]))
-            x = _parse_dart(parts[2], line_no)
-            y = _parse_dart(parts[3], line_no)
-            m = Link(m, k, x, y)
+            m = Link(m, k, _parse_dart(parts[2], line_no),
+                     _parse_dart(parts[3], line_no))
         else:
-            raise ParseError(line_no, f"unrecognized line {line!r}")
-    if not saw_header:
-        raise ParseError(1, f"missing header {MAP_HEADER!r}")
+            raise ParseError(line_no, f"unrecognized line {raw.strip()!r}")
     return m
 
 
 def serialize_map(m: FreeMap) -> str:
     lines = [MAP_HEADER]
+    zero, one = Dim.zero, Dim.one  # identity tests, not Dim.value reads
     for node in history(m):
         if isinstance(node, Insert):
             lines.append(f"i {node.x}")
+        elif node.k is zero:
+            lines.append(f"l 0 {node.x} {node.y}")
+        elif node.k is one:
+            lines.append(f"l 1 {node.x} {node.y}")
         else:
-            lines.append(f"l {node.k.value} {node.x} {node.y}")
+            raise TypeError(f"not a dimension: {node.k!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -105,20 +105,27 @@ def tail_is_ring_after_first_break(m: FreeMap | HypermapIndex, items: RingList) 
 
 def random_map(seed: int, n_darts: int, n_link_attempts: int) -> FreeMap:
     """Deterministic random well-formed map: darts 1..n, then uniform
-    link attempts, keeping those that meet the link preconditions."""
+    link attempts, keeping those that meet the link preconditions.
+
+    Each attempt draws its dimension as ``getrandbits(1)`` and its two
+    darts as ``randint(1, n)`` would, by the rule of
+    :func:`random_planar_map`."""
     rng = random.Random(seed)
     inc = IncrementalMap()
     for d in range(1, n_darts + 1):
         inc.insert(d)
     if n_darts > 0:
-        # randrange(n) + 1 draws what randint(1, n) draws, with less set-up
-        bit, randrange = rng.getrandbits, rng.randrange
+        bits, nb = rng.getrandbits, n_darts.bit_length()
         can_link, link = inc.can_link, inc.link
         dims = (Dim.zero, Dim.one)
         for _ in range(n_link_attempts):
-            k = dims[bit(1)]
-            x = randrange(n_darts) + 1
-            y = randrange(n_darts) + 1
+            k = dims[bits(1)]
+            x = bits(nb) + 1
+            while x > n_darts:
+                x = bits(nb) + 1
+            y = bits(nb) + 1
+            while y > n_darts:
+                y = bits(nb) + 1
             if can_link(k, x, y):
                 link(k, x, y)
     return inc.term()
@@ -144,6 +151,17 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
     The term is a fixed function of ``(seed, n_darts, n_links)``: the
     draws, their order and the attempt count all decide it, and the
     test suite pins the terms of a set of triples by their digest.
+    Every draw goes through the public ``random()`` and ``getrandbits``
+    of a ``random.Random`` seeded with ``seed``.  The move is
+    ``bisect((2, 5, 8), random() * 8.0, 0, 2)``, what
+    ``choices(moves, weights=(2, 3, 3))`` computes.  A number below
+    ``n`` is ``getrandbits(n.bit_length())``, drawn again until it is
+    below ``n``: that is how ``random.Random`` draws ``randrange(n)``
+    and the index of ``choice(seq)`` with ``n = len(seq)``, so the
+    darts (``randint(1, n)``) and the face members come out as those
+    calls give them, without their per-call set-up.  The digest holds
+    this rule to those calls: it was recorded when the generator still
+    made them.
     """
     if n_darts < 0:
         raise ConstraintError(f"dart count {n_darts} is negative")
@@ -160,11 +178,7 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
     if n_links == 0:
         return inc.term()
 
-    # The draws of rng.choices over the three moves with weights (2, 3, 3)
-    # and of rng.randint(1, n_darts), made without their per-call set-up:
-    # choices bisects the cumulative weights, randint adds 1 to randrange.
-    rand, randrange, choice = rng.random, rng.randrange, rng.choice
-    bit = rng.getrandbits
+    rand, bits, nb = rng.random, rng.getrandbits, n_darts.bit_length()
     same_component, face_members = inc.same_component, inc.face_members
     can_link, link = inc.can_link, inc.link
     c0, c1 = inc.chains
@@ -173,16 +187,30 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
     for _ in range(10 * n_links + 20):
         move = bisect((2, 5, 8), rand() * 8.0, 0, 2)  # bridge, split0, split1
         if move == 0:
-            x = randrange(n_darts) + 1
-            y = randrange(n_darts) + 1
+            x = bits(nb) + 1
+            while x > n_darts:
+                x = bits(nb) + 1
+            y = bits(nb) + 1
+            while y > n_darts:
+                y = bits(nb) + 1
             if same_component(x, y):
                 continue
-            k = dims[bit(1)]
+            k = dims[bits(1)]
         else:
             # a and b share a face; the split links them through a closure
-            face = face_members(randrange(n_darts) + 1)
-            a = choice(face)
-            b = choice(face)
+            z = bits(nb) + 1
+            while z > n_darts:
+                z = bits(nb) + 1
+            face = face_members(z)
+            n = len(face)
+            fb = n.bit_length()
+            i = bits(fb)
+            while i >= n:
+                i = bits(fb)
+            j = bits(fb)
+            while j >= n:
+                j = bits(fb)
+            a, b = face[i], face[j]
             if move == 1:
                 k, x, y = zero, c1.closed_succ(a), b
             else:

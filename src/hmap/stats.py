@@ -21,6 +21,8 @@ from .fmap import (
     Insert,
     Link,
     Void,
+    _ONE,
+    _ZERO,
     history,
 )
 from .criteria import _link_keeps_planar, _link_splits_face
@@ -201,18 +203,21 @@ class IncrementalMap(ChainKernel):
 
     def link(self, k: Dim, x: Dart, y: Dart) -> None:
         # the tracker checks and applies the link; the face test after it
-        # reads only the other dimension and face_next, which it leaves alone
-        bottom, top = self.chains[k.value].link(x, y)
-        splits = self.link_splits_face(k, x, y)
-
-        # x was a top and y a bottom: bottom and top are their far ends
+        # reads only the other dimension and face_next, which it leaves
+        # alone.  x was a top and y a bottom: bottom and top are their far ends
         c0, c1 = self.chains
-        if k is Dim.zero:
+        if k is _ZERO:
+            bottom, top = c0.link(x, y)
+            splits = self.link_splits_face(k, x, y)
             self.face_next[y] = c1.closed_pred(x)
             self.face_next[bottom] = c1.closed_pred(top)
-        else:
+        elif k is _ONE:
+            bottom, top = c1.link(x, y)
+            splits = self.link_splits_face(k, x, y)
             self.face_next[c0.closed_succ(y)] = x
             self.face_next[c0.closed_succ(bottom)] = top
+        else:
+            raise TypeError(f"not a dimension: {k!r}")
 
         self.n_faces += 1 if splits else -1
         if self.components.union(x, y):

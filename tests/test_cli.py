@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hmap import parse_map, serialize_map, serialize_ring, RingItem
-from hmap.cli import run_cli
+from hmap.cli import _build_parser, run_cli
 
 from conftest import build_digon, build_fixture15, build_two_dart_edge
 
@@ -204,6 +204,32 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli([]) == 2
     assert run_cli(["frobnicate"]) == 2
     assert run_cli(["orbit", "x.map", "--kind", "nonsense", "--dart", "1"]) == 2
+
+
+def test_one_parser_serves_every_call(files, tmp_path, capsys):
+    # the parser is built once per process: no option, value or stream
+    # of one call may carry over to the next
+    assert _build_parser() is _build_parser()
+    argv = ["orbit", files["digon"], "--kind", "nonsense", "--dart", "1"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: hmap orbit")
+    assert "invalid choice: 'nonsense'" in captured.err
+
+    out = tmp_path / "g.dot"
+    assert run_cli(["dot", files["digon"], "-o", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert run_cli(["dot", files["digon"]]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out.read_text() and captured.out.startswith("digraph")
+    assert captured.err == ""
+
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run_cli(argv) == 2
+    assert err.getvalue().startswith("usage: hmap orbit")
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("content", [

@@ -10,11 +10,14 @@ replay checks its term, so none has a ``check`` parameter either.
 
 Every kernel is built by ``ChainKernel``'s constructor in ``fmap``: no
 other module assigns a kernel's ``dart_set`` or ``chains``.
+
+The generators reach ``random.Random`` through its public methods only.
 """
 
 import ast
 import importlib
 import inspect
+import random
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hmap"
@@ -80,3 +83,24 @@ def test_only_fmap_builds_kernel_state():
                  if p.stem != "fmap"}
     assert {name: attrs for name, attrs in offenders.items() if attrs} == {}
     assert _kernel_state_stores(SRC / "fmap.py") == ["chains", "dart_set"]
+
+
+def _random_private_reads(path: Path, private: set[str]) -> list[str]:
+    reads = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in private:
+            reads.add(node.attr)
+        elif isinstance(node, ast.Constant) and node.value in private:
+            reads.add(node.value)  # as in getattr(rng, "_randbelow")
+    return sorted(reads)
+
+
+def test_generators_use_public_random_api_only():
+    # the generators draw what randrange and choice draw through public
+    # getrandbits alone; random's private helpers may change between versions
+    private = {name for name in dir(random.Random)
+               if name.startswith("_") and not name.endswith("__")}
+    assert "_randbelow" in private
+    offenders = {p.name: _random_private_reads(p, private)
+                 for p in sorted(SRC.glob("*.py"))}
+    assert {name: reads for name, reads in offenders.items() if reads} == {}

@@ -18,7 +18,7 @@ from hmap import (
     is_planar,
     make_map,
 )
-from hmap.fmap import Insert, history
+from hmap.fmap import ChainKernel, Insert, history
 from hmap.jordan import enumerate_maps, random_map, random_planar_map
 
 d0 = Dim.zero
@@ -137,7 +137,7 @@ class TestIncrementalBackend:
 
     def test_stats_at_every_prefix(self, fixture15):
         # the recurrences must be right after every single step, not just at the end
-        from hmap.fmap import Insert, history
+        from hmap.fmap import ChainKernel, Insert, history
         inc = IncrementalMap()
         for node in history(fixture15):
             if isinstance(node, Insert):
@@ -253,6 +253,21 @@ class TestIncrementalMap:
             inc.link(k, x, y)
         assert str(exc.value) == message
         assert snapshot() == before
+
+    @pytest.mark.parametrize("k", [0, 1, "0", None])
+    def test_link_needs_a_dim(self, k):
+        # the tracker is picked by identity with Dim.zero and Dim.one
+        inc = IncrementalMap()
+        for d in (1, 2):
+            inc.insert(d)
+        kern = ChainKernel(inc.term())
+        calls = [inc.link_violation, inc.can_link, inc.require_link, inc.link,
+                 kern.link_violation, kern.can_link, kern.require_link]
+        for call in calls:
+            with pytest.raises(TypeError, match=f"not a dimension: {k!r}"):
+                call(k, 1, 2)
+        assert inc.term() == make_map([1, 2], [])
+        assert (inc.n_faces, inc.n_components) == (2, 2)
 
     def test_same_face_is_false_when_either_dart_is_absent(self):
         inc = IncrementalMap()
