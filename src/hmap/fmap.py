@@ -533,13 +533,17 @@ def make_map(darts: Iterable[Dart], links: Iterable[tuple[Dim, Dart, Dart]] = ()
 # destructors
 
 
-def _remove_latest(m: FreeMap, matches: Callable[[Insert | Link], bool]) -> FreeMap:
-    """``m`` without its most recent step that ``matches``, the steps
-    after it rebuilt on top; unchanged if no step matches."""
+def _remove_latest(m: FreeMap, matches: Callable[[Insert | Link], bool],
+                   n: int = 1) -> FreeMap:
+    """``m`` without its ``n`` most recent steps that ``matches``, in one
+    walk and one rebuild: the steps after the innermost of them are
+    rebuilt on top.  Unchanged if fewer than ``n`` steps match."""
     outer: list[Insert | Link] = []
     cur = m
     while not isinstance(cur, Void):
-        if matches(cur):
+        if not matches(cur):
+            outer.append(cur)  # type: ignore[arg-type]
+        elif (n := n - 1) == 0:
             core = cur.base
             for node in reversed(outer):
                 if isinstance(node, Insert):
@@ -547,7 +551,6 @@ def _remove_latest(m: FreeMap, matches: Callable[[Insert | Link], bool]) -> Free
                 else:
                     core = Link(core, node.k, node.x, node.y)
             return core
-        outer.append(cur)  # type: ignore[arg-type]
         cur = cur.base
     return m
 

@@ -5,8 +5,9 @@ which is the right reference semantics but quadratic in bulk use.  A
 :class:`HypermapIndex` is a chain kernel, built by the kernel's
 constructor in one replay of the term; the kernel holds the explicit
 links and pairs the two ends of every open chain.  To it the index adds
-the closures, the face permutation and the four orbit partitions,
-answering all further queries in O(1).
+the face permutation and the face and component partitions, and on
+first read the closures and the edge and vertex partitions, answering
+all further queries in O(1).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from .fmap import (
     NIL,
     ChainKernel,
+    ChainTracker,
     ConstraintError,
     Dart,
     Dim,
@@ -23,10 +25,9 @@ from .fmap import (
     Insert,
     InternalInvariantError,
     MapError,
-    history,
+    Void,
     kernel_of,
 )
-from .unionfind import UnionFind
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,15 +72,12 @@ def _cycle(perm: dict[Dart, Dart], z: Dart) -> list[Dart]:
     return cycle
 
 
-def _orbit_ids(starts: list[Dart], *perms: dict[Dart, Dart]) -> dict[Dart, Dart]:
-    """Label each dart with the first of ``starts`` in its orbit under the
-    group that ``perms`` generate.
-
-    Every orbit must hold a start.  The forward images of a start under
-    ``perms`` reach its orbit in full, because every permutation of a
-    finite set has finite order.  With the sorted darts as ``starts`` the
-    label is the orbit's minimum dart; with the darts that have no
-    predecessor in one dimension, it is the bottom of the dart's chain.
+def _orbit_ids(starts: list[Dart], *maps: dict[Dart, Dart]) -> dict[Dart, Dart]:
+    """Label each dart reached from ``starts`` along the images under
+    ``maps`` (a dart a map does not hold has no image there) with the
+    first start that reaches it: under permutations that is the start's
+    orbit, since every permutation of a finite set has finite order, and
+    under both directions of the explicit links its component.
     """
     ids: dict[Dart, Dart] = {}
     for d in starts:
@@ -88,12 +86,19 @@ def _orbit_ids(starts: list[Dart], *perms: dict[Dart, Dart]) -> dict[Dart, Dart]
         ids[d] = d
         todo = [d]
         for z in todo:
-            for perm in perms:
-                w = perm[z]
-                if w not in ids:
+            for perm in maps:
+                w = perm.get(z)
+                if w is not None and w not in ids:
                     ids[w] = d
                     todo.append(w)
     return ids
+
+
+def _chain_ids(ch: ChainTracker) -> dict[Dart, Dart]:
+    """Label each dart with the bottom of its open chain, walking every
+    chain from its bottom along ``succ``."""
+    pred = ch.pred
+    return _orbit_ids([d for d in ch.end if d not in pred], ch.succ)
 
 
 class HypermapIndex(ChainKernel):
@@ -103,17 +108,17 @@ class HypermapIndex(ChainKernel):
     constructor (MapError on a term that is not well formed): its dart
     set and chains answer the explicit links, the closures, the face
     successors and the construction preconditions on the indexed map.
-    On top of them it keeps the sorted ``darts``, the closures
-    ``closure[k]`` and ``face_perm`` as permutation dicts, and the
-    ``*_ids`` labellings, which map each dart to its orbit's
-    representative: the bottom of its open chain for edges and
-    vertices, the orbit's minimum dart for faces and components.
+    Built with it are what ``stats`` counts: the sorted ``darts``,
+    ``face_perm`` as a permutation dict, and the labellings ``face_ids``
+    and ``component_ids``, which map each dart to its orbit's minimum
+    dart.  Built on first read are the closures ``closure[k]`` as
+    permutation dicts and the labellings ``edge_ids`` and
+    ``vertex_ids``, which map each dart to the bottom of its open chain.
     """
 
     __slots__ = (
-        "term", "darts", "closure", "face_perm",
-        "edge_ids", "vertex_ids", "face_ids", "component_ids",
-        "stats",
+        "term", "darts", "face_perm", "face_ids", "component_ids", "stats",
+        "closure", "edge_ids", "vertex_ids",
     )
 
     def __init__(self, m: FreeMap) -> None:
@@ -123,27 +128,37 @@ class HypermapIndex(ChainKernel):
             raise MapError(f"map is not well formed: {exc}") from None
         ch0, ch1 = self.chains
         darts = sorted(self.dart_set)
+        # a dart without a predecessor is a bottom, whose end is its top
+        pred0, pred1 = ch0.end | ch0.pred, ch1.end | ch1.pred
 
         self.term = m
         self.darts = tuple(darts)
-        self.closure = ({d: ch0.closed_succ(d) for d in darts},
-                        {d: ch1.closed_succ(d) for d in darts})
-        self.face_perm = {d: ch1.closed_pred(ch0.closed_pred(d)) for d in darts}
-
-        self.edge_ids = _orbit_ids([d for d in darts if d not in ch0.pred],
-                                   self.closure[0])
-        self.vertex_ids = _orbit_ids([d for d in darts if d not in ch1.pred],
-                                     self.closure[1])
+        self.face_perm = {d: pred1[pred0[d]] for d in darts}
         self.face_ids = _orbit_ids(darts, self.face_perm)
-        self.component_ids = _orbit_ids(darts, *self.closure)
+        # the closures join no two darts that the explicit links do not
+        self.component_ids = _orbit_ids(darts, ch0.succ, ch0.pred, ch1.succ, ch1.pred)
+        # each k-link joins two open k-chains: one edge or vertex fewer
+        nd = len(darts)
+        self.stats = MapStats.from_counts(nd, nd - len(ch0.succ), nd - len(ch1.succ),
+                                          len(set(self.face_ids.values())),
+                                          len(set(self.component_ids.values())))
 
-        self.stats = MapStats.from_counts(
-            nd=len(darts),
-            ne=len(set(self.edge_ids.values())),
-            nv=len(set(self.vertex_ids.values())),
-            nf=len(set(self.face_ids.values())),
-            nc=len(set(self.component_ids.values())),
-        )
+    # a dart without a successor is a top, whose end is its bottom
+    _ON_FIRST_READ = {
+        "closure": lambda idx: tuple(ch.end | ch.succ for ch in idx.chains),
+        "edge_ids": lambda idx: _chain_ids(idx.chains[0]),
+        "vertex_ids": lambda idx: _chain_ids(idx.chains[1]),
+    }
+
+    def __getattr__(self, name: str) -> object:
+        """Build a view of ``_ON_FIRST_READ`` into its slot, which answers
+        every later read; only an unset slot's read gets here."""
+        build = self._ON_FIRST_READ.get(name)
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = build(self)
+        setattr(self, name, value)
+        return value
 
     # -- chain ends, from the labels -------------------------------------------
 
@@ -152,7 +167,7 @@ class HypermapIndex(ChainKernel):
         return self.chains[k.value].end[b] if b != NIL else NIL
 
     def bottom(self, k: Dim, z: Dart) -> Dart:
-        return (self.edge_ids, self.vertex_ids)[k.value].get(z, NIL)
+        return (self.vertex_ids if k.value else self.edge_ids).get(z, NIL)
 
     # -- orbit queries -----------------------------------------------------
 
@@ -181,19 +196,29 @@ def build_index(m: FreeMap) -> HypermapIndex:
 def count_components(m: FreeMap) -> int:
     """Number of connected components of ``m``, without an index.
 
-    One pass over the steps of ``m``: every insert adds a component and
-    every link that joins two components removes one.  It does not check
-    the term, so ``m`` must be well formed: use it on a term built from
-    one already checked, as a ring break is.
+    One walk down the ``base`` chain: each insert adds a component and
+    each link that joins two removes one, in any order, so ``parent`` is
+    a union-find forest (with path halving) filled from the most recent
+    step.  It does not check the term, so ``m`` must be well formed: use
+    it on a term built from one already checked, as a ring break is.
     """
-    uf = UnionFind()
+    parent: dict[Dart, Dart] = {}
     n = 0
-    for node in history(m):
-        if isinstance(node, Insert):
-            uf.add(node.x)
+    while not isinstance(m, Void):
+        if isinstance(m, Insert):
             n += 1
-        elif uf.union(node.x, node.y):
-            n -= 1
+        else:
+            a, b = m.x, m.y
+            while a in parent:
+                p = parent[a]
+                parent[a] = a = parent.get(p, p)
+            while b in parent:
+                p = parent[b]
+                parent[b] = b = parent.get(p, p)
+            if a != b:
+                parent[a] = b
+                n -= 1
+        m = m.base
     return n
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .fmap import NIL, ConstraintError, Dart, Dim, FreeMap, break_link
+from .fmap import _ZERO, NIL, ConstraintError, Dart, Dim, FreeMap, Link, _remove_latest
 from .index import HypermapIndex, ensure_index
 
 
@@ -75,6 +75,9 @@ class RingDiagnostics:
         return f"invalid ring: {self.failure}{where}"
 
 
+#: The verdict on every valid ring, which ``check_ring`` returns as is.
+_VALID = RingDiagnostics(True, True, True, True, True, True, None, ())
+
 Sides = tuple[Dart, Dart] | None
 
 
@@ -130,6 +133,8 @@ def check_ring(m: FreeMap | HypermapIndex, items: RingList) -> RingDiagnostics:
         closed = sides[0] is not None and sides[0][0] == sides[0][1]
     else:
         closed = _adjacent(sides[-1], sides[0])
+    if n and closed and edge_clash is None and gap is None and face_clash is None:
+        return _VALID
     verdicts = (
         (n > 0, "empty ring", ()),
         (edge_clash is None, "edge reused or item without 0-link", edge_clash),
@@ -178,15 +183,28 @@ def is_ring(m: FreeMap | HypermapIndex, items: RingList) -> bool:
 def break_ring(m: FreeMap, items: RingList) -> FreeMap:
     """Break every item's 0-link, first item to last.
 
-    Each item must still carry a 0-link when its turn comes; a valid
-    ring guarantees that, since its edges are pairwise distinct.
-    ``break_link`` returns its input itself when there is none.
+    In one walk and one rebuild, this is the left fold of
+    ``break_link(., Dim.zero, x)`` over the items: the ``j``-th item with
+    dart ``x`` breaks the ``j``-th most recent 0-link out of ``x``.  Each
+    item must still carry a 0-link when its turn comes; a valid ring
+    guarantees that, since its edges are pairwise distinct.
     """
-    cur = m
-    for i, item in enumerate(items):
-        broken = break_link(cur, Dim.zero, item.x)
-        if broken is cur:
-            raise ConstraintError(
-                f"item {i}: dart {item.x} has no 0-link left to break")
-        cur = broken
-    return cur
+    wanted: dict[Dart, int] = {}
+    for item in items:
+        wanted[item.x] = wanted.get(item.x, 0) + 1
+    left = dict(wanted)
+
+    def breaks(step) -> bool:
+        if step.__class__ is Link and step.k is _ZERO and left.get(step.x):
+            left[step.x] -= 1
+            return True
+        return False
+
+    broken = _remove_latest(m, breaks, len(items))
+    if broken is m and items:  # left[x] items with dart x found no 0-link
+        for i, item in enumerate(items):
+            wanted[item.x] -= 1
+            if wanted[item.x] < left[item.x]:
+                raise ConstraintError(
+                    f"item {i}: dart {item.x} has no 0-link left to break")
+    return broken

@@ -1,6 +1,8 @@
 """The one-pass index and the incremental builder must agree with the
 recursive observers everywhere."""
 
+import random
+
 import pytest
 
 from hmap import (
@@ -27,8 +29,8 @@ from hmap import (
     top,
 )
 from hmap import fmap, jordan
-from hmap.fmap import history
-from hmap.index import count_components
+from hmap.fmap import history, kernel_of
+from hmap.index import _orbit_ids, count_components
 from hmap.jordan import enumerate_maps, random_map, random_planar_map
 
 d0 = Dim.zero
@@ -172,3 +174,58 @@ def test_count_components_on_large_planar_maps(n):
     ring = next(candidate_rings(build_index(m), 4))
     broken = break_ring(m, ring)
     assert count_components(broken) == build_index(broken).stats.n_components
+
+
+def _eager_views(m):
+    """Every view of the index as the eager build made it: the closures
+    and the face permutation from the kernel's closed successors and
+    predecessors, each labelling through ``_orbit_ids``."""
+    ch0, ch1 = kernel_of(m).chains
+    darts = sorted(ch0.end)
+    closure = ({d: ch0.closed_succ(d) for d in darts},
+               {d: ch1.closed_succ(d) for d in darts})
+    face_perm = {d: ch1.closed_pred(ch0.closed_pred(d)) for d in darts}
+    return {
+        "closure": closure,
+        "face_perm": face_perm,
+        "edge_ids": _orbit_ids([d for d in darts if d not in ch0.pred], closure[0]),
+        "vertex_ids": _orbit_ids([d for d in darts if d not in ch1.pred], closure[1]),
+        "face_ids": _orbit_ids(darts, face_perm),
+        "component_ids": _orbit_ids(darts, *closure),
+    }
+
+
+def _assert_lazy_views_match_eager(m):
+    want = _eager_views(m)
+    counts = tuple(len(set(want[f"{kind}_ids"].values()))
+                   for kind in ("edge", "vertex", "face", "component"))
+    orders = (("edge_ids", "vertex_ids", "face_ids", "component_ids", "closure",
+               "face_perm", "stats"),
+              ("component_ids", "edge_ids", "stats", "closure", "vertex_ids",
+               "face_perm", "face_ids"))
+    for order in orders:
+        idx = build_index(m)
+        got = {name: getattr(idx, name) for name in order}
+        st = got.pop("stats")
+        assert got == want, m
+        assert (st.n_edges, st.n_vertices, st.n_faces, st.n_components) == counts
+        # a view is built once: a second read answers the same object
+        assert all(getattr(idx, name) is view for name, view in got.items())
+
+
+def test_lazy_views_equal_eager_ones_on_all_small_maps():
+    for m in enumerate_maps(4):
+        _assert_lazy_views_match_eager(m)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_lazy_views_equal_eager_ones_on_large_planar_maps(seed):
+    rng = random.Random(seed)
+    n = rng.randint(200, 3000)
+    _assert_lazy_views_match_eager(random_planar_map(seed, n, rng.randint(n // 2, 2 * n)))
+
+
+def test_unknown_attribute_still_raises():
+    idx = build_index(Void())
+    with pytest.raises(AttributeError, match="no attribute 'edge_idz'"):
+        idx.edge_idz

@@ -295,6 +295,13 @@ class TestEnumeration:
         assert rep.rings_checked > 0
         assert rep.ring_soundness_failures == 0
 
+    def test_exhaustive_jordan_benchmark_sweep(self):
+        # the benchmark's sweep op; its own check covers maps and planar
+        # maps only, so the ring count is pinned here
+        assert exhaustive_jordan(4, 3).summary() == (
+            "maps=5509 planar=4171 rings=5584 delta_failures=0 "
+            "soundness_failures=0 verdict=pass")
+
     def test_exhaustive_jordan_counts_injected_faults(self, monkeypatch):
         # each failure counter runs only when its check fails, so fail it
         rings = exhaustive_jordan(3, 3).rings_checked

@@ -1,15 +1,19 @@
 """Double-link items, the four ring conditions, and multi-break."""
 
 import itertools
+import random
 
 import pytest
 
 from hmap import (
     ConstraintError,
     Dim,
+    Link,
+    RingDiagnostics,
     RingItem,
     adjacent_faces,
     bottom,
+    break_link,
     break_ring,
     build_index,
     check_ring,
@@ -24,7 +28,9 @@ from hmap import (
     same_face,
     successor,
 )
-from hmap.jordan import candidate_rings, random_planar_map
+from hmap import rings
+from hmap.index import ensure_index
+from hmap.jordan import candidate_rings, enumerate_maps, random_map, random_planar_map
 
 d0 = Dim.zero
 d1 = Dim.one
@@ -218,3 +224,143 @@ class TestCandidateRings:
         assert tuple(DIGON_RING) in rings
         for ring in rings:
             assert check_ring(idx, ring).valid
+
+
+def _full_verdict(m, items):
+    """``check_ring`` as it was before its valid-ring shortcut: every
+    verdict is built and the first failure located, valid ring or not."""
+    idx = ensure_index(m)
+    succ0, edge_ids, face_ids = idx.chains[0].succ, idx.edge_ids, idx.face_ids
+    sides = []
+    first_edge, first_face = {}, {}
+    edge_clash = gap = face_clash = None
+    for i, item in enumerate(items):
+        y = succ0.get(item.x, 0)
+        if y == 0:
+            sides.append(None)
+            edge_clash = edge_clash or (i,)
+        else:
+            x0 = edge_ids[item.x]
+            fy, f0 = face_ids[y], face_ids[x0]
+            here = (fy, f0) if item.flag else (f0, fy)
+            sides.append(here)
+            j = first_edge.setdefault(x0, i)
+            if j != i:
+                edge_clash = edge_clash or (j, i)
+            j = first_face.setdefault(here[0], i)
+            if j != i:
+                face_clash = face_clash or (j, i)
+        if i > 0 and gap is None and not rings._adjacent(sides[i - 1], sides[i]):
+            gap = (i - 1, i)
+    n = len(items)
+    if n == 0:
+        closed = True
+    elif n == 1:
+        closed = sides[0] is not None and sides[0][0] == sides[0][1]
+    else:
+        closed = rings._adjacent(sides[-1], sides[0])
+    verdicts = (
+        (n > 0, "empty ring", ()),
+        (edge_clash is None, "edge reused or item without 0-link", edge_clash),
+        (gap is None, "consecutive items not adjacent", gap),
+        (closed, "ring does not close", (n - 1, 0) if n > 1 else (0,)),
+        (face_clash is None, "two items identify the same face", face_clash),
+    )
+    failure, failure_items = next(((what, at) for ok, what, at in verdicts if not ok),
+                                  (None, ()))
+    return RingDiagnostics(failure is None, *(ok for ok, _, _ in verdicts),
+                           failure, failure_items)
+
+
+def _variants(ring):
+    """The ring and lists made from it that mostly fail some condition."""
+    first = ring[0]
+    yield ring
+    yield ring[:-1]
+    yield ring[::-1]
+    yield ring + ring[:1]
+    yield (RingItem(first.x, not first.flag),) + ring[1:]
+
+
+class TestCheckRingShortcut:
+    def test_every_candidate_ring_and_variant_on_small_maps(self):
+        valid = invalid = 0
+        for m in enumerate_maps(4):
+            idx = build_index(m)
+            for ring in candidate_rings(idx, 4):
+                assert check_ring(idx, ring) is rings._VALID
+                for items in _variants(ring):
+                    want = _full_verdict(idx, items)
+                    assert check_ring(idx, items) == want, (m, items)
+                    valid += want.valid
+                    invalid += not want.valid
+        assert valid >= 11128 and invalid > 0
+
+    @pytest.mark.parametrize("fixture, items", [
+        ("digon", DIGON_RING),
+        ("digon", []),
+        ("digon", [RingItem(1, True), RingItem(1, False)]),
+        ("digon", [RingItem(1, True), RingItem(3, True)]),
+        ("digon", [RingItem(1, True)]),
+        ("digon", [RingItem(1, False), RingItem(3, True)]),
+        ("digon_open", [RingItem(1, True), RingItem(3, False)]),
+        ("two_dart_edge", [RingItem(1, True)]),
+        ("two_dart_edge", [RingItem(1, False)]),
+        ("two_dart_edge", [RingItem(1, True), RingItem(2, True)]),
+        ("bridges", [RingItem(1, True), RingItem(3, True)]),
+    ])
+    def test_invalid_ring_cases(self, request, fixture, items):
+        m = (make_map([1, 2, 3, 4], [(d0, 1, 2), (d0, 3, 4), (d1, 2, 3)])
+             if fixture == "bridges" else request.getfixturevalue(fixture))
+        assert check_ring(m, items) == _full_verdict(m, items)
+
+
+def _fold_break(m, items):
+    """``break_ring`` as the left fold of ``break_link`` over its items:
+    the broken term, or the message of the item that has no 0-link."""
+    cur = m
+    for i, item in enumerate(items):
+        broken = break_link(cur, d0, item.x)
+        if broken is cur:
+            return f"item {i}: dart {item.x} has no 0-link left to break"
+        cur = broken
+    return cur
+
+
+def _one_rebuild_break(m, items):
+    try:
+        return break_ring(m, items)
+    except ConstraintError as exc:
+        return str(exc)
+
+
+class TestBreakRingFold:
+    def test_every_ring_of_the_sweep(self):
+        rings_seen = 0
+        for m in enumerate_maps(4):
+            idx = build_index(m)
+            if not idx.stats.planar:
+                continue
+            for ring in candidate_rings(idx, 3):
+                rings_seen += 1
+                assert _one_rebuild_break(m, ring) == _fold_break(m, ring), (m, ring)
+        assert rings_seen == 5584
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_items_with_repeats_and_unlinked_darts(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        m = random_map(seed, n, rng.randint(0, 3 * n))
+        if seed % 3 == 0:
+            # a raw term with two 0-links out of one dart: the j-th item
+            # with that dart breaks its j-th most recent 0-link
+            m = Link(Link(m, d0, 1, 1), d1, 1, 1)
+            m = Link(m, d0, 1, n)
+        errors = 0
+        for _ in range(40):
+            items = [RingItem(rng.randint(1, n + 1), rng.random() < 0.5)
+                     for _ in range(rng.randint(0, 5))]
+            got = _one_rebuild_break(m, items)
+            assert got == _fold_break(m, items), (m, items)
+            errors += isinstance(got, str)
+        assert errors > 0
