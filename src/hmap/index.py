@@ -28,6 +28,7 @@ from .fmap import (
     Void,
     kernel_of,
 )
+from .unionfind import _union
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,6 +93,12 @@ def _orbit_ids(starts: list[Dart], *maps: dict[Dart, Dart]) -> dict[Dart, Dart]:
                     ids[w] = d
                     todo.append(w)
     return ids
+
+
+def _same(ids: dict[Dart, Dart], a: Dart, b: Dart) -> bool:
+    """True when ``ids`` gives both darts one label; false if either is absent."""
+    ia = ids.get(a)
+    return ia is not None and ia == ids.get(b)
 
 
 def _chain_ids(ch: ChainTracker) -> dict[Dart, Dart]:
@@ -171,21 +178,11 @@ class HypermapIndex(ChainKernel):
 
     # -- orbit queries -----------------------------------------------------
 
-    def same_edge(self, a: Dart, b: Dart) -> bool:
-        ia = self.edge_ids.get(a)
-        return ia is not None and ia == self.edge_ids.get(b)
-
-    def same_vertex(self, a: Dart, b: Dart) -> bool:
-        ia = self.vertex_ids.get(a)
-        return ia is not None and ia == self.vertex_ids.get(b)
-
     def same_face(self, a: Dart, b: Dart) -> bool:
-        ia = self.face_ids.get(a)
-        return ia is not None and ia == self.face_ids.get(b)
+        return _same(self.face_ids, a, b)
 
     def same_component(self, a: Dart, b: Dart) -> bool:
-        ia = self.component_ids.get(a)
-        return ia is not None and ia == self.component_ids.get(b)
+        return _same(self.component_ids, a, b)
 
 
 def build_index(m: FreeMap) -> HypermapIndex:
@@ -197,27 +194,18 @@ def count_components(m: FreeMap) -> int:
     """Number of connected components of ``m``, without an index.
 
     One walk down the ``base`` chain: each insert adds a component and
-    each link that joins two removes one, in any order, so ``parent`` is
-    a union-find forest (with path halving) filled from the most recent
-    step.  It does not check the term, so ``m`` must be well formed: use
-    it on a term built from one already checked, as a ring break is.
+    each link that joins two removes one, in any order, so the links go
+    into a :mod:`hmap.unionfind` forest from the most recent step.  It
+    does not check the term, so ``m`` must be well formed: use it on a
+    term built from one already checked, as a ring break is.
     """
     parent: dict[Dart, Dart] = {}
     n = 0
     while not isinstance(m, Void):
         if isinstance(m, Insert):
             n += 1
-        else:
-            a, b = m.x, m.y
-            while a in parent:
-                p = parent[a]
-                parent[a] = a = parent.get(p, p)
-            while b in parent:
-                p = parent[b]
-                parent[b] = b = parent.get(p, p)
-            if a != b:
-                parent[a] = b
-                n -= 1
+        elif _union(parent, m.x, m.y):
+            n -= 1
         m = m.base
     return n
 

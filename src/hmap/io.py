@@ -13,10 +13,10 @@ term without validating construction preconditions; checking is a
 separate concern.  Ring files carry one ``<dart> <t|f>`` item per line
 in break order, with no header.
 
-``parse_map`` reads the text in one pass over ``str.splitlines()``,
-which also numbers the lines, and raises at the first fault, so the
-error names the first faulty line.  On that line the checks run in this
-order:
+``parse_map`` and ``parse_ring`` read the text in one pass over
+``str.splitlines()``, which also numbers the lines, and raise at the
+first fault, so the error names the first faulty line.  A ring item's
+shape is read before its dart; a map line's checks run in this order:
 
 1. before the header: the first line with content must be the header,
    else "expected header"; text with no content line at all is
@@ -43,13 +43,6 @@ class ParseError(MapError):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
         self.message = message
-
-
-def _content_lines(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line_no, line
 
 
 def _parse_dart(token: str, line_no: int) -> int:
@@ -118,11 +111,15 @@ def serialize_map(m: FreeMap) -> str:
 
 def parse_ring(text: str) -> list[RingItem]:
     items: list[RingItem] = []
-    for line_no, line in _content_lines(text):
-        parts = line.split()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        parts = raw.split()
+        if not parts:
+            continue
         if len(parts) != 2 or parts[1] not in ("t", "f"):
             raise ParseError(line_no,
-                             f"expected '<dart> <t|f>', got {line!r}")
+                             f"expected '<dart> <t|f>', got {raw.strip()!r}")
         items.append(RingItem(_parse_dart(parts[0], line_no), parts[1] == "t"))
     return items
 

@@ -20,7 +20,6 @@ from typing import Callable, Iterator, Sequence
 
 from .criteria import break_disconnects
 from .fmap import (
-    ChainKernel,
     ConstraintError,
     Dart,
     Dim,
@@ -443,31 +442,24 @@ def fuzz_jordan(trials: int, seed: int, size_bound: int, *,
 
 
 def _path_systems(darts: Sequence[Dart]) -> Iterator[dict[Dart, Dart]]:
-    """All successor assignments forming disjoint open chains.
+    """All successor assignments forming disjoint open chains: the
+    explicit links one dimension of a well-formed map can carry.
 
-    Each dart gets at most one successor, each at most one predecessor,
-    and no cycle closes.  This is exactly the set of explicit link
-    structures one dimension of a well-formed map can carry; each link
-    is admitted by the kernel's link rule on the links chosen before it.
+    Each dart in turn starts a chain of its own or goes into any
+    position of a chain laid out before it, which lays out every set of
+    disjoint chains once: 1, 1, 3, 13, 73, 501 systems on 0 to 5 darts.
     """
-    n = len(darts)
-
-    def rec(i: int, succ: dict[Dart, Dart]) -> Iterator[dict[Dart, Dart]]:
-        if i == n:
-            yield succ
-            return
-        yield from rec(i + 1, succ)
-        kern = ChainKernel()
-        for d in darts:
-            kern.add_dart(d)
-        for a, b in succ.items():
-            kern.chains[0].link(a, b)
-        x = darts[i]
-        for y in darts:
-            if kern.can_link(Dim.zero, x, y):
-                yield from rec(i + 1, {**succ, x: y})
-
-    yield from rec(0, {})
+    layouts: list[tuple[tuple[Dart, ...], ...]] = [()]
+    for d in darts:
+        grown = []
+        for chains in layouts:
+            grown.append(chains + ((d,),))
+            for c, chain in enumerate(chains):
+                for p in range(len(chain) + 1):
+                    grown.append(chains[:c] + (chain[:p] + (d,) + chain[p:],) + chains[c + 1:])
+        layouts = grown
+    for chains in layouts:
+        yield {x: y for chain in chains for x, y in zip(chain, chain[1:])}
 
 
 def enumerate_maps(max_darts: int) -> Iterator[FreeMap]:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .fmap import ConstraintError, Dart, FreeMap, Insert, Link, history
-from .index import HypermapIndex, _cycle, ensure_index
+from .index import HypermapIndex, _cycle, _same, ensure_index
 
 
 class OrbitKind(Enum):
@@ -82,14 +82,7 @@ def same_orbit(m: FreeMap | HypermapIndex, kind: OrbitKind, a: Dart, b: Dart) ->
 
     Total: false whenever either dart does not exist.
     """
-    idx = ensure_index(m)
-    if kind is OrbitKind.edge:
-        return idx.same_edge(a, b)
-    if kind is OrbitKind.vertex:
-        return idx.same_vertex(a, b)
-    if kind is OrbitKind.face:
-        return idx.same_face(a, b)
-    return idx.same_component(a, b)
+    return _same(getattr(ensure_index(m), f"{kind.value}_ids"), a, b)
 
 
 def same_edge(m: FreeMap | HypermapIndex, a: Dart, b: Dart) -> bool:

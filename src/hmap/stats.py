@@ -27,7 +27,7 @@ from .fmap import (
 )
 from .criteria import _link_keeps_planar, _link_splits_face
 from .index import HypermapIndex, MapStats, _cycle, ensure_index
-from .unionfind import UnionFind
+from .unionfind import _find, _union
 
 __all__ = [
     "MapStats", "counts", "euler_characteristic", "genus", "is_planar",
@@ -150,17 +150,18 @@ class IncrementalMap(ChainKernel):
     decided before the face permutation changes, by testing whether the
     two darts whose faces the link touches already share a face.  The
     component count drops by one exactly when the link joins two
-    components.  This is the recurrence backend cross-checked against
-    orbit enumeration, and it is also what the planarity-preserving
-    generator builds on, since the split test doubles as the
-    planarity-preservation test.
+    components, which ``components``, a :mod:`hmap.unionfind` forest of
+    the links, decides.  This is the recurrence backend cross-checked
+    against orbit enumeration, and it is also what the
+    planarity-preserving generator builds on, since the split test
+    doubles as the planarity-preservation test.
     """
 
     __slots__ = ("components", "face_next", "n_faces", "n_components", "_term")
 
     def __init__(self) -> None:
         super().__init__()
-        self.components = UnionFind()
+        self.components: dict[Dart, Dart] = {}
         self.face_next: dict[Dart, Dart] = {}
         self.n_faces = 0
         self.n_components = 0
@@ -170,7 +171,7 @@ class IncrementalMap(ChainKernel):
 
     def same_component(self, a: Dart, b: Dart) -> bool:
         return (a in self.dart_set and b in self.dart_set
-                and self.components.same(a, b))
+                and _find(self.components, a) == _find(self.components, b))
 
     def same_face(self, a: Dart, b: Dart) -> bool:
         """Walk a's face cycle looking for b; linear in the face size."""
@@ -195,7 +196,6 @@ class IncrementalMap(ChainKernel):
 
     def insert(self, x: Dart) -> None:
         self.add_dart(x)
-        self.components.add(x)
         self.face_next[x] = x
         self.n_faces += 1
         self.n_components += 1
@@ -220,7 +220,7 @@ class IncrementalMap(ChainKernel):
             raise TypeError(f"not a dimension: {k!r}")
 
         self.n_faces += 1 if splits else -1
-        if self.components.union(x, y):
+        if _union(self.components, x, y):
             self.n_components -= 1
         self._term = Link(self._term, k, x, y)
 

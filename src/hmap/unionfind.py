@@ -1,39 +1,29 @@
-"""Small disjoint-set forest used for component bookkeeping."""
+"""The disjoint-set forest: a dict from a dart to its parent, where a
+dart the dict lacks is its own root.  Finds halve their paths, and
+unions keep no size table: path halving alone keeps finds O(log n)
+amortized (Tarjan and van Leeuwen, J. ACM 31(2), 1984).
+"""
 
 from __future__ import annotations
 
 
-class UnionFind:
-    """Union-find with path halving and union by size."""
+def _find(parent: dict, x):
+    while x in parent:
+        p = parent[x]
+        parent[x] = x = parent.get(p, p)
+    return x
 
-    __slots__ = ("_parent", "_size")
 
-    def __init__(self) -> None:
-        self._parent: dict = {}
-        self._size: dict = {}
-
-    def add(self, x) -> None:
-        if x not in self._parent:
-            self._parent[x] = x
-            self._size[x] = 1
-
-    def find(self, x):
-        p = self._parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        """Merge the sets of ``a`` and ``b``; True if they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        return True
-
-    def same(self, a, b) -> bool:
-        return self.find(a) == self.find(b)
+def _union(parent: dict, a, b) -> bool:
+    """Merge the sets of ``a`` and ``b``; True if they were distinct.
+    Both finds run inline: this is a component count's inner loop."""
+    while a in parent:
+        p = parent[a]
+        parent[a] = a = parent.get(p, p)
+    while b in parent:
+        p = parent[b]
+        parent[b] = b = parent.get(p, p)
+    if a == b:
+        return False
+    parent[a] = b
+    return True

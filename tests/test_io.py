@@ -104,6 +104,39 @@ def test_parse_error_table(text, line_no, message):
     assert str(err) == f"line {line_no}: {message}"
 
 
+# (text, line number, message) of the ParseError parse_ring raises
+RING_ERRORS = [
+    ("1 x\n", 1, "expected '<dart> <t|f>', got '1 x'"),
+    ("1\n", 1, "expected '<dart> <t|f>', got '1'"),
+    ("1 t f\n", 1, "expected '<dart> <t|f>', got '1 t f'"),
+    ("1 T\n", 1, "expected '<dart> <t|f>', got '1 T'"),
+    ("t 1\n", 1, "expected '<dart> <t|f>', got 't 1'"),
+    ("a t\n", 1, "expected a dart number, got 'a'"),
+    ("-1 f\n", 1, "expected a dart number, got '-1'"),
+    ("² t\n", 1, "expected a dart number, got '²'"),
+    (f"{HUGE} t\n", 1, f"expected a dart number, got '{HUGE}'"),
+    ("hmap 1\n", 1, "expected '<dart> <t|f>', got 'hmap 1'"),
+    ("hmap t\n", 1, "expected a dart number, got 'hmap'"),
+    # the item's shape is read before its dart
+    ("a b\n", 1, "expected '<dart> <t|f>', got 'a b'"),
+    # lines are counted as str.splitlines counts them, comments cut first
+    ("# ring\n\n1 t\n  2 q  # why\n", 4, "expected '<dart> <t|f>', got '2 q'"),
+    ("1 t\r\n2 f\x0c3 # c\n", 3, "expected '<dart> <t|f>', got '3'"),
+    ("\t 1 　 t\n 2\tf  f\n", 2, "expected '<dart> <t|f>', got '2\\tf  f'"),
+    ("1 t#2 f\n3 t # 4\n#5\n6\n", 4, "expected '<dart> <t|f>', got '6'"),
+]
+
+
+@pytest.mark.parametrize("text,line_no,message", RING_ERRORS,
+                         ids=[f"case{i}" for i in range(len(RING_ERRORS))])
+def test_parse_ring_error_table(text, line_no, message):
+    with pytest.raises(ParseError) as info:
+        parse_ring(text)
+    err = info.value
+    assert (err.line_no, err.message) == (line_no, message)
+    assert str(err) == f"line {line_no}: {message}"
+
+
 def test_whitespace_variants_parse_as_canonical_text():
     canonical = "hmap 1\ni 1\ni 2\ni 3\nl 0 1 2\nl 1 2 3\n"
     text = ("# a digon's half\r\n\r\nhmap 1  # header\r\n"

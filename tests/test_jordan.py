@@ -261,12 +261,14 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_maps(2)) == 11
 
     def test_all_well_formed_and_distinct(self):
-        seen = set()
-        for m in enumerate_maps(3):
-            assert is_well_formed(m)
-            assert m not in seen
-            seen.add(m)
-        assert len(seen) == 11 + 13 * 13
+        # 4 darts is the size the benchmark's sweep runs
+        for n, total in ((3, 11 + 13 * 13), (4, 11 + 13 * 13 + 73 * 73)):
+            seen = set()
+            for m in enumerate_maps(n):
+                assert is_well_formed(m)
+                assert m not in seen
+                seen.add(m)
+            assert len(seen) == total
 
     def test_closure_pairs_complete(self):
         # On n darts the (closure[0], closure[1]) pairs must be all n!^2

@@ -1,5 +1,7 @@
 """Counting: orbit enumeration backend, recurrence backend, theorem checks."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from hmap import (
     IncrementalMap,
     InternalInvariantError,
     Void,
+    build_index,
     check_euler_formula,
     check_genus_theorem,
     counts,
@@ -122,6 +125,17 @@ class TestEulerFormula:
         assert rep.passed, rep.summary()
 
 
+def _replayed(m):
+    """An IncrementalMap replaying ``m``, after each step of its history."""
+    inc = IncrementalMap()
+    for node in history(m):
+        if isinstance(node, Insert):
+            inc.insert(node.x)
+        else:
+            inc.link(node.k, node.x, node.y)
+        yield inc
+
+
 class TestIncrementalBackend:
     def test_fixture(self, fixture15):
         assert counts_incremental(fixture15) == counts(fixture15)
@@ -137,27 +151,50 @@ class TestIncrementalBackend:
 
     def test_stats_at_every_prefix(self, fixture15):
         # the recurrences must be right after every single step, not just at the end
-        from hmap.fmap import ChainKernel, Insert, history
-        inc = IncrementalMap()
-        for node in history(fixture15):
-            if isinstance(node, Insert):
-                inc.insert(node.x)
-            else:
-                inc.link(node.k, node.x, node.y)
+        for inc in _replayed(fixture15):
             assert inc.stats() == counts(inc.term())
+
+
+ABSENT = 0  # dart ids start at 1
+
+
+def _assert_components_match_index(inc, others=None):
+    """``inc.same_component`` answers ``(a, b)`` as the index of
+    ``inc.term()`` does, for every dart or absent ``a`` and every ``b``
+    in ``others`` (default: the darts and the absent dart), and
+    ``n_components`` matches."""
+    idx = build_index(inc.term())
+    assert inc.n_components == idx.stats.n_components
+    darts = (*idx.darts, ABSENT)
+    others = darts if others is None else (*others, ABSENT)
+    for a in darts:
+        assert ([inc.same_component(a, b) for b in others]
+                == [idx.same_component(a, b) for b in others]), (inc.term(), a)
+
+
+class TestIncrementalComponents:
+    def test_every_prefix_of_all_small_maps(self):
+        prefixes = 0
+        for m in enumerate_maps(4):
+            for inc in _replayed(m):
+                _assert_components_match_index(inc)
+                prefixes += 1
+        assert prefixes == 45098
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_large_planar_maps(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(200, 3000)
+        *_, inc = _replayed(random_planar_map(seed, n, rng.randint(n // 2, 2 * n)))
+        # same_component compares the darts' forest roots, an equivalence,
+        # so a dart against one dart of every component answers every pair
+        labels = set(build_index(inc.term()).component_ids.values())
+        _assert_components_match_index(inc, sorted(labels))
 
 
 def prefix_genera(m):
     """The genus after each construction step of ``m``."""
-    inc = IncrementalMap()
-    out = []
-    for node in history(m):
-        if isinstance(node, Insert):
-            inc.insert(node.x)
-        else:
-            inc.link(node.k, node.x, node.y)
-        out.append(inc.stats().genus)
-    return out
+    return [inc.stats().genus for inc in _replayed(m)]
 
 
 class TestGenusAlongPrefixes:
@@ -241,11 +278,10 @@ class TestIncrementalMap:
         inc.link(d1, 1, 2)
 
         def snapshot():
-            uf = inc.components
             return (set(inc.dart_set),
                     [(dict(c.succ), dict(c.pred), dict(c.end)) for c in inc.chains],
                     dict(inc.face_next), inc.n_faces, inc.n_components,
-                    dict(uf._parent), dict(uf._size), inc.term())
+                    dict(inc.components), inc.term())
 
         before = snapshot()
         message = f"link {x}->{y} at dim {k.value}: " + reason.format(k=k.value)
@@ -287,11 +323,5 @@ class TestIncrementalMap:
             inc.same_face(1, 3) if walk == "same_face" else inc.face_members(1)
 
     def test_term_round_trip(self, digon):
-        from hmap.fmap import history, Insert
-        inc = IncrementalMap()
-        for node in history(digon):
-            if isinstance(node, Insert):
-                inc.insert(node.x)
-            else:
-                inc.link(node.k, node.x, node.y)
+        *_, inc = _replayed(digon)
         assert inc.term() == digon
