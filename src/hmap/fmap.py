@@ -57,6 +57,16 @@ class Dim(Enum):
 _ZERO, _ONE = Dim.zero, Dim.one
 
 
+def _dim(k: Dim) -> int:
+    """The index, 0 or 1, of the dimension ``k``, told by identity; a
+    value that is not a :class:`Dim` raises TypeError."""
+    if k is _ZERO:
+        return 0
+    if k is _ONE:
+        return 1
+    raise TypeError(f"not a dimension: {k!r}")
+
+
 class MapError(Exception):
     """Base class for errors raised by map operations."""
 
@@ -401,34 +411,36 @@ class ChainKernel:
         return z in self.dart_set
 
     def successor(self, k: Dim, z: Dart) -> Dart:
-        return self.chains[k.value].succ.get(z, NIL)
+        return self.chains[_dim(k)].succ.get(z, NIL)
 
     def predecessor(self, k: Dim, z: Dart) -> Dart:
-        return self.chains[k.value].pred.get(z, NIL)
+        return self.chains[_dim(k)].pred.get(z, NIL)
 
     def has_successor(self, k: Dim, z: Dart) -> bool:
-        return z in self.chains[k.value].succ
+        return z in self.chains[_dim(k)].succ
 
     def has_predecessor(self, k: Dim, z: Dart) -> bool:
-        return z in self.chains[k.value].pred
+        return z in self.chains[_dim(k)].pred
 
     def closed_successor(self, k: Dim, z: Dart) -> Dart:
-        return self.chains[k.value].closed_succ(z) if z in self.dart_set else NIL
+        ch = self.chains[_dim(k)]
+        return ch.closed_succ(z) if z in self.dart_set else NIL
 
     def closed_predecessor(self, k: Dim, z: Dart) -> Dart:
-        return self.chains[k.value].closed_pred(z) if z in self.dart_set else NIL
+        ch = self.chains[_dim(k)]
+        return ch.closed_pred(z) if z in self.dart_set else NIL
 
     def face_successor(self, z: Dart) -> Dart:
-        return self.predecessor(Dim.one, self.predecessor(Dim.zero, z))
+        return self.predecessor(_ONE, self.predecessor(_ZERO, z))
 
     def face_predecessor(self, z: Dart) -> Dart:
-        return self.successor(Dim.zero, self.successor(Dim.one, z))
+        return self.successor(_ZERO, self.successor(_ONE, z))
 
     def closed_face_successor(self, z: Dart) -> Dart:
-        return self.closed_predecessor(Dim.one, self.closed_predecessor(Dim.zero, z))
+        return self.closed_predecessor(_ONE, self.closed_predecessor(_ZERO, z))
 
     def closed_face_predecessor(self, z: Dart) -> Dart:
-        return self.closed_successor(Dim.zero, self.closed_successor(Dim.one, z))
+        return self.closed_successor(_ZERO, self.closed_successor(_ONE, z))
 
     # -- construction -----------------------------------------------------------
 
@@ -457,7 +469,7 @@ class ChainKernel:
         """Raise ConstraintError, naming the step, unless ``x -> y`` can be linked."""
         reason = self.link_violation(k, x, y)
         if reason is not None:
-            raise self.chains[k.value].refusal(x, y, reason)
+            raise self.chains[_dim(k)].refusal(x, y, reason)
 
     def add_dart(self, x: Dart) -> None:
         """Insert ``x``; ConstraintError, naming the step, unless it can be."""

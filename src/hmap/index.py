@@ -26,6 +26,7 @@ from .fmap import (
     InternalInvariantError,
     MapError,
     Void,
+    _dim,
     kernel_of,
 )
 from .unionfind import _union
@@ -171,10 +172,10 @@ class HypermapIndex(ChainKernel):
 
     def top(self, k: Dim, z: Dart) -> Dart:
         b = self.bottom(k, z)
-        return self.chains[k.value].end[b] if b != NIL else NIL
+        return self.chains[_dim(k)].end[b] if b != NIL else NIL
 
     def bottom(self, k: Dim, z: Dart) -> Dart:
-        return (self.vertex_ids if k.value else self.edge_ids).get(z, NIL)
+        return (self.vertex_ids if _dim(k) else self.edge_ids).get(z, NIL)
 
     # -- orbit queries -----------------------------------------------------
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import os
 import random
-from bisect import bisect
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from .criteria import break_disconnects
 from .fmap import (
+    _ONE,
+    _ZERO,
     ConstraintError,
     Dart,
     Dim,
@@ -30,6 +31,7 @@ from .fmap import (
 )
 from .index import (
     HypermapIndex,
+    _cycle,
     build_index,
     count_components,
     ensure_index,
@@ -37,6 +39,7 @@ from .index import (
 )
 from .rings import RingItem, RingList, break_ring, check_ring
 from .stats import IncrementalMap
+from .unionfind import _find
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,8 +118,8 @@ def random_map(seed: int, n_darts: int, n_link_attempts: int) -> FreeMap:
         inc.insert(d)
     if n_darts > 0:
         bits, nb = rng.getrandbits, n_darts.bit_length()
-        can_link, link = inc.can_link, inc.link
-        dims = (Dim.zero, Dim.one)
+        link_violation, link = inc.link_violation, inc.link
+        dims = (_ZERO, _ONE)
         for _ in range(n_link_attempts):
             k = dims[bits(1)]
             x = bits(nb) + 1
@@ -125,7 +128,7 @@ def random_map(seed: int, n_darts: int, n_link_attempts: int) -> FreeMap:
             y = bits(nb) + 1
             while y > n_darts:
                 y = bits(nb) + 1
-            if can_link(k, x, y):
+            if link_violation(k, x, y) is None:
                 link(k, x, y)
     return inc.term()
 
@@ -151,9 +154,13 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
     draws, their order and the attempt count all decide it, and the
     test suite pins the terms of a set of triples by their digest.
     Every draw goes through the public ``random()`` and ``getrandbits``
-    of a ``random.Random`` seeded with ``seed``.  The move is
-    ``bisect((2, 5, 8), random() * 8.0, 0, 2)``, what
-    ``choices(moves, weights=(2, 3, 3))`` computes.  A number below
+    of a ``random.Random`` seeded with ``seed``.  With
+    ``r = random() * 8.0``, the move is a bridge when ``r < 2``, a split
+    at dimension zero when ``2 <= r < 5`` and one at dimension one
+    otherwise: ``bisect((2, 5, 8), r, 0, 2)``, what
+    ``choices(moves, weights=(2, 3, 3))`` computes.  A bridge between
+    darts of one component is dropped before the link check; every
+    other attempt makes one ``link_violation`` call.  A number below
     ``n`` is ``getrandbits(n.bit_length())``, drawn again until it is
     below ``n``: that is how ``random.Random`` draws ``randrange(n)``
     and the index of ``choice(seq)`` with ``n = len(seq)``, so the
@@ -178,21 +185,22 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
         return inc.term()
 
     rand, bits, nb = rng.random, rng.getrandbits, n_darts.bit_length()
-    same_component, face_members = inc.same_component, inc.face_members
-    can_link, link = inc.can_link, inc.link
+    parent, face_next = inc.components, inc.face_next
     c0, c1 = inc.chains
-    zero, one = dims = (Dim.zero, Dim.one)
+    pred0, end0, succ1, end1 = c0.pred, c0.end, c1.succ, c1.end
+    link_violation, link = inc.link_violation, inc.link
+    dims = (_ZERO, _ONE)
     placed = 0
     for _ in range(10 * n_links + 20):
-        move = bisect((2, 5, 8), rand() * 8.0, 0, 2)  # bridge, split0, split1
-        if move == 0:
+        r = rand() * 8.0
+        if r < 2.0:  # a bridge
             x = bits(nb) + 1
             while x > n_darts:
                 x = bits(nb) + 1
             y = bits(nb) + 1
             while y > n_darts:
                 y = bits(nb) + 1
-            if same_component(x, y):
+            if _find(parent, x) == _find(parent, y):
                 continue
             k = dims[bits(1)]
         else:
@@ -200,7 +208,7 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
             z = bits(nb) + 1
             while z > n_darts:
                 z = bits(nb) + 1
-            face = face_members(z)
+            face = _cycle(face_next, z)
             n = len(face)
             fb = n.bit_length()
             i = bits(fb)
@@ -210,11 +218,12 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
             while j >= n:
                 j = bits(fb)
             a, b = face[i], face[j]
-            if move == 1:
-                k, x, y = zero, c1.closed_succ(a), b
+            # darts are positive, so a closure is the explicit link or the end
+            if r < 5.0:
+                k, x, y = _ZERO, succ1.get(a) or end1[a], b
             else:
-                k, x, y = one, a, c0.closed_pred(b)
-        if can_link(k, x, y):
+                k, x, y = _ONE, a, pred0.get(b) or end0[b]
+        if link_violation(k, x, y) is None:
             link(k, x, y)
             placed += 1
             if placed == n_links:
@@ -327,6 +336,7 @@ class FuzzReport:
 
     trials: int = 0
     rings_found: int = 0
+    rings_by_length: dict[int, int] = field(default_factory=dict)
     delta_failures: int = 0
     connect_failures: int = 0
     tail_failures: int = 0
@@ -346,6 +356,8 @@ class FuzzReport:
         lines = [
             f"trials={self.trials}",
             f"rings_found={self.rings_found}",
+            "rings_by_length=" + ",".join(
+                f"{n}:{c}" for n, c in sorted(self.rings_by_length.items())),
             f"delta_failures={self.delta_failures}",
             f"connect_failures={self.connect_failures}",
             f"tail_failures={self.tail_failures}",
@@ -387,9 +399,14 @@ def _witness_dir(explicit: str | None) -> str | None:
 
 def fuzz_jordan(trials: int, seed: int, size_bound: int, *,
                 witness_dir: str | None = None) -> FuzzReport:
-    """Generate planar maps, hunt for rings of at most 4 items, and check
-    the break law on every ring found, together with the two supporting
-    lemmas.
+    """Generate planar maps, search each for a ring of at most 4 items,
+    and check the break law on the ring found, together with the two
+    supporting lemmas.
+
+    The search is ``find_ring``, whose first ring is a singleton whenever
+    the map has one; so almost every ring checked has one item, and the
+    lemmas, which need two or more, are rarely exercised.
+    ``rings_by_length`` counts the rings checked by their item count.
 
     The (trials, seed, size_bound) triple fully determines every trial.
     Failing (map, ring) pairs are persisted to ``witness_dir`` (or the
@@ -414,6 +431,7 @@ def fuzz_jordan(trials: int, seed: int, size_bound: int, *,
         if ring is None:
             continue
         report.rings_found += 1
+        report.rings_by_length[len(ring)] = report.rings_by_length.get(len(ring), 0) + 1
 
         failed = False
         if not check_ring(idx, ring).valid:

@@ -9,6 +9,7 @@ import pytest
 from hmap import (
     ConstraintError,
     Dim,
+    IncrementalMap,
     Link,
     MapError,
     RingItem,
@@ -173,6 +174,25 @@ class TestGeneratorPin:
         assert (rep.trials, rep.rings_found, rep.failures) == self.FUZZ[seed]
 
 
+@pytest.mark.parametrize("make, checks, links", [
+    (lambda: fuzz_jordan(500, 7, 32), 78_497, 9_216),
+    (lambda: random_planar_map(1, 1000, 2000), 17_697, 1_487),
+    (lambda: random_map(1, 100, 400), 400, 142),
+], ids=["fuzz_jordan", "random_planar_map", "random_map"])
+def test_generator_link_checks_and_links(monkeypatch, make, checks, links):
+    # every attempt that reaches the link check makes one link_violation
+    # call, the one statement of the link rule, which the benchmark's
+    # tracer counts as a link attempt; a pre-filter would lower the count
+    calls = dict.fromkeys(("link_violation", "link"), 0)
+    for name in calls:
+        def counted(self, *args, _real=getattr(IncrementalMap, name), _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(IncrementalMap, name, counted)
+    make()
+    assert (calls["link_violation"], calls["link"]) == (checks, links)
+
+
 class TestFindRing:
     def test_singleton_on_two_dart_edge(self, two_dart_edge):
         ring = find_ring(two_dart_edge, 1, seed=0)
@@ -233,6 +253,14 @@ class TestFuzz:
         text = fuzz_jordan(5, 1, 6).summary()
         assert "trials=5" in text
         assert "verdict=" in text
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rings_by_length_sums_to_rings_found(self, seed):
+        rep = fuzz_jordan(60, seed, 16)
+        assert sum(rep.rings_by_length.values()) == rep.rings_found > 0
+        assert set(rep.rings_by_length) <= {1, 2, 3, 4}
+        line = ",".join(f"{n}:{c}" for n, c in sorted(rep.rings_by_length.items()))
+        assert f"\nrings_by_length={line}\n" in rep.summary()
 
 
 class TestWitnessFiles:

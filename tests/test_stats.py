@@ -1,6 +1,7 @@
 """Counting: orbit enumeration backend, recurrence backend, theorem checks."""
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,7 @@ from hmap import (
     genus,
     is_planar,
     make_map,
+    planar_from_break,
 )
 from hmap.fmap import ChainKernel, Insert, history
 from hmap.jordan import enumerate_maps, random_map, random_planar_map
@@ -304,6 +306,24 @@ class TestIncrementalMap:
                 call(k, 1, 2)
         assert inc.term() == make_map([1, 2], [])
         assert (inc.n_faces, inc.n_components) == (2, 2)
+
+    @pytest.mark.parametrize("k", [0, 1, "0", None])
+    def test_observers_need_a_dim(self, k):
+        # picked by identity too: no value but Dim.zero and Dim.one is a
+        # dimension, on present and absent darts alike
+        m = make_map([1, 2], [(d0, 1, 2), (d1, 2, 1)])
+        idx = build_index(m)
+        *_, inc = _replayed(m)
+        observers = ["successor", "predecessor", "has_successor", "has_predecessor",
+                     "closed_successor", "closed_predecessor"]
+        calls = [getattr(view, name) for view in (ChainKernel(m), idx, inc)
+                 for name in observers]
+        calls += [idx.top, idx.bottom,
+                  partial(planar_from_break, m), partial(planar_from_break, idx)]
+        for call in calls:
+            for z in (1, 9):
+                with pytest.raises(TypeError, match=f"not a dimension: {k!r}"):
+                    call(k, z)
 
     def test_same_face_is_false_when_either_dart_is_absent(self):
         inc = IncrementalMap()
