@@ -149,6 +149,34 @@ class Link(FreeMap):
     _step = ("k", "x", "y")
 
 
+def _set_slots_directly() -> None:
+    """Give ``Insert`` and ``Link`` an ``__init__`` that writes each slot
+    through its descriptor.  The one a frozen dataclass generates writes
+    through ``object.__setattr__``, a generic attribute lookup per field,
+    at about twice the cost; every step of every generated, broken or
+    rebuilt term pays it.  Assignment still raises FrozenInstanceError."""
+    ins_base, ins_x = Insert.base.__set__, Insert.x.__set__
+    link_base, link_k, link_x, link_y = (
+        Link.base.__set__, Link.k.__set__, Link.x.__set__, Link.y.__set__)
+
+    def insert_init(self: Insert, base: FreeMap, x: Dart) -> None:
+        ins_base(self, base)
+        ins_x(self, x)
+
+    def link_init(self: Link, base: FreeMap, k: Dim, x: Dart, y: Dart) -> None:
+        link_base(self, base)
+        link_k(self, k)
+        link_x(self, x)
+        link_y(self, y)
+
+    for cls, init in ((Insert, insert_init), (Link, link_init)):
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+
+
+_set_slots_directly()
+
+
 def _spine(m: FreeMap) -> tuple[list[Insert | Link], object]:
     """The steps of ``m`` from the outermost in, and what lies below them
     (``Void()`` for a term)."""

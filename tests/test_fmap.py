@@ -1,5 +1,6 @@
 """Term constructors, observers, preconditions, and destructors."""
 
+import dataclasses
 import random
 import warnings
 
@@ -62,6 +63,24 @@ class TestTermIdentity:
         m = Link(Insert(Void(), 1), d0, 1, 2)
         assert repr(m) == "Link(base=Insert(base=Void(), x=1), k=Dim.zero, x=1, y=2)"
         assert repr(Void()) == "Void()"
+
+    @pytest.mark.parametrize("node", [Insert(Void(), 1), Link(Insert(Void(), 1), d1, 1, 1)],
+                             ids=["Insert", "Link"])
+    def test_steps_are_frozen_and_built_from_their_fields(self, node):
+        # the constructors write the slots themselves, not through the
+        # dataclass-generated __init__; they must build the same records
+        names = [f.name for f in dataclasses.fields(node)]
+        assert names == ["base", *node._step]
+        values = [getattr(node, f) for f in names]
+        assert type(node)(*values) == node == type(node)(**dict(zip(names, values)))
+        assert dataclasses.replace(node, x=2).x == 2 and node.x == 1
+        for f in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, f, values[names.index(f)])
+        with pytest.raises(TypeError):
+            type(node)(*values, 1)
+        with pytest.raises(TypeError):
+            type(node)(*values[:-1])
 
     def test_equality_compares_every_step(self):
         m = make_map([1, 2], [(d0, 1, 2)])
