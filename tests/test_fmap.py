@@ -74,9 +74,9 @@ class TestTermIdentity:
         values = [getattr(node, f) for f in names]
         assert type(node)(*values) == node == type(node)(**dict(zip(names, values)))
         assert dataclasses.replace(node, x=2).x == 2 and node.x == 1
-        for f in names:
+        for f, v in zip(names, values):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(node, f, values[names.index(f)])
+                setattr(node, f, v)
         with pytest.raises(TypeError):
             type(node)(*values, 1)
         with pytest.raises(TypeError):
