@@ -15,7 +15,7 @@ test that touches them.
 
 from __future__ import annotations
 
-from .fmap import _ONE, _ZERO, NIL, ConstraintError, Dart, Dim, FreeMap, break_link
+from .fmap import _ONE, _ZERO, NIL, ConstraintError, Dart, Dim, FreeMap, _dim, break_link
 from .index import HypermapIndex, build_index, ensure_index, require_well_formed
 
 
@@ -31,11 +31,9 @@ def _link_splits_face(view, k: Dim, x: Dart, y: Dart) -> bool:
     ``view`` is any kernel with ``same_face``: an index, or an
     :class:`IncrementalMap` before it applies the link.
     """
-    if k is _ZERO:
+    if _dim(k) == 0:
         return view.same_face(view.closed_predecessor(_ONE, x), y)
-    if k is _ONE:
-        return view.same_face(x, view.closed_successor(_ZERO, y))
-    raise TypeError(f"not a dimension: {k!r}")
+    return view.same_face(x, view.closed_successor(_ZERO, y))
 
 
 def _link_keeps_planar(view, k: Dim, x: Dart, y: Dart) -> bool:

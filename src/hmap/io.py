@@ -29,7 +29,7 @@ shape is read before its dart; a map line's checks run in this order:
 
 from __future__ import annotations
 
-from .fmap import Dim, FreeMap, Insert, Link, MapError, Void, history
+from .fmap import Dim, FreeMap, Insert, Link, MapError, Void, _dim, history
 from .index import HypermapIndex, ensure_index
 from .orbits import OrbitKind, all_orbits
 from .rings import RingItem, RingList
@@ -96,16 +96,11 @@ def parse_map(text: str) -> FreeMap:
 
 def serialize_map(m: FreeMap) -> str:
     lines = [MAP_HEADER]
-    zero, one = Dim.zero, Dim.one  # identity tests, not Dim.value reads
     for node in history(m):
         if isinstance(node, Insert):
             lines.append(f"i {node.x}")
-        elif node.k is zero:
-            lines.append(f"l 0 {node.x} {node.y}")
-        elif node.k is one:
-            lines.append(f"l 1 {node.x} {node.y}")
         else:
-            raise TypeError(f"not a dimension: {node.k!r}")
+            lines.append(f"l {_dim(node.k)} {node.x} {node.y}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,26 +1,24 @@
 """Alternating benchmark pairs of two checkouts, recorded as one JSON file.
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_<n>.json \\
-        [--pairs 5] [--workloads sweep,fuzz,large,construct] [--trace fuzz] \\
-        [--seed 1600]
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_<n>.json
 
 PARENT_DIR and CHANGE_DIR are two source checkouts, each with its own
 ``hmapbench/`` and ``src/``; make them fresh (``git clone``, or
 ``git archive`` unpacked) so that neither holds stray build output.  For
-each workload, pair ``i`` runs ``hmapbench/run.py --trace 0`` once in each
-checkout, with the same seed and the run length of ``BENCHMARK.json``;
-even pairs run the parent first and odd pairs the change first, so a
-drift of the host's speed falls on both sides alike.  Each workload named
-by ``--trace`` then gets one traced run per side (``--trace 1 --seed 1
---seconds 2``), whose per-layer counts repeat exactly for a given seed.
+each workload of ``BENCHMARK.json``, pair ``i`` (of ``PAIRS``) runs
+``hmapbench/run.py --trace 0`` once in each checkout, with seed
+``FIRST_SEED + i`` and the run length of ``BENCHMARK.json``; even pairs
+run the parent first and odd pairs the change first, so a drift of the
+host's speed falls on both sides alike.  Each workload then gets one
+traced run per side (``--trace 1 --seed 1 --seconds 2``), whose
+per-layer counts repeat exactly for a given seed.
 
 The output has the shape of the ``BENCH_*.json`` files at the root of
-the repository: ``runs`` holds every run with the last JSON
-line it printed as ``result``, and ``trace`` (for ``sweep``) or
-``trace_<workload>`` one traced run per side.  The file is rewritten
-after every run, so an interrupted session keeps the pairs it finished.
-A table of medians, quartiles and pairs won goes to standard output at
-the end.
+the repository: ``runs`` holds every run with the last JSON line it
+printed as ``result``, and ``trace_<workload>`` one traced run per side.
+The file is rewritten after every run, so an interrupted session keeps
+the pairs it finished.  A table of medians, quartiles and pairs won goes
+to standard output at the end.
 """
 
 from __future__ import annotations
@@ -37,6 +35,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10  # the fewest pairs on which a gain can be claimed
+FIRST_SEED = 1601
 
 
 def _bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -101,13 +101,6 @@ def main() -> int:
     p.add_argument("parent_dir", type=Path)
     p.add_argument("change_dir", type=Path)
     p.add_argument("--out", required=True, type=Path, help="the JSON file to write")
-    p.add_argument("--pairs", type=int, default=5)
-    p.add_argument("--workloads", default="sweep,fuzz,large,construct",
-                   help="comma-separated workloads to pair, in run order")
-    p.add_argument("--trace", default="fuzz",
-                   help="comma-separated workloads to trace once per side; '' for none")
-    p.add_argument("--seed", type=int, default=1600,
-                   help="pair i of the w-th workload runs seed SEED + 100*w + i + 1")
     args = p.parse_args()
 
     dirs = dict(zip(SIDES, (args.parent_dir.resolve(), args.change_dir.resolve())))
@@ -116,8 +109,7 @@ def main() -> int:
             p.error(f"{side} checkout {d} has no hmapbench/run.py")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
-    workloads = [w for w in args.workloads.split(",") if w]
-    traced = [w for w in args.trace.split(",") if w]
+    workloads = [w["name"] for w in bench["workloads"]]
 
     record = {
         "description": (
@@ -125,9 +117,9 @@ def main() -> int:
             f"--workload W --seed S --seconds {seconds} --trace 0) of the parent and of "
             f"the change, each from its own checkout; 'result' is the last JSON line a "
             f"run printed. Even pairs run the parent first, odd pairs the change; "
-            f"{args.pairs} pairs per workload. Each 'trace' entry holds one traced run "
-            f"(--trace 1 --seed 1 --seconds 2) of each side. Written by "
-            f"tools/bench_pairs.py."),
+            f"{PAIRS} pairs per workload, pair i with seed {FIRST_SEED} + i. Each "
+            f"'trace_<workload>' entry holds one traced run (--trace 1 --seed 1 "
+            f"--seconds 2) of each side. Written by tools/bench_pairs.py."),
         "parent": _revision(dirs["parent"]),
         "change": _revision(dirs["change"]),
         "nproc": os.cpu_count(),
@@ -138,9 +130,9 @@ def main() -> int:
     def save() -> None:
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
-    for wi, w in enumerate(workloads):
-        for i in range(args.pairs):
-            seed = args.seed + 100 * wi + i + 1
+    for w in workloads:
+        for i in range(PAIRS):
+            seed = FIRST_SEED + i
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 t0 = time.monotonic()
                 result = _bench(dirs[side], w, seed, seconds, 0)
@@ -150,11 +142,10 @@ def main() -> int:
                 ops = result["metrics"]["ops_per_s"]["value"]
                 print(f"{w} pair {i} {side}: ops_per_s={ops:.4g} "
                       f"({time.monotonic() - t0:.0f} s)", flush=True)
-    for w in traced:
-        key = "trace" if w == "sweep" else f"trace_{w}"
-        record[key] = {side: {"workload": w, "seed": 1,
-                              "result": _bench(dirs[side], w, 1, 2, 1)}
-                       for side in SIDES}
+    for w in workloads:
+        record[f"trace_{w}"] = {side: {"workload": w, "seed": 1,
+                                       "result": _bench(dirs[side], w, 1, 2, 1)}
+                                for side in SIDES}
         save()
         print(f"{w} traced on both sides", flush=True)
     print("\n".join(summary(record, bench)))
