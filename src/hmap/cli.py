@@ -15,7 +15,13 @@ from pathlib import Path
 from .fmap import ConstraintError, FreeMap, MapError, well_formed_violation
 from .index import build_index, require_well_formed
 from .io import parse_map, parse_ring, serialize_map, to_dot
-from .jordan import fuzz_jordan, jordan_check, random_planar_map
+from .jordan import (
+    _length_tally,
+    exhaustive_jordan,
+    fuzz_jordan,
+    jordan_check,
+    random_planar_map,
+)
 from .orbits import OrbitKind, orbit
 from .rings import break_ring, check_ring
 
@@ -111,6 +117,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--size", required=True, type=int)
     sp.add_argument("--witness-dir")
 
+    sp = sub.add_parser("sweep", help="ring-break law on every small planar map")
+    sp.add_argument("--darts", required=True, type=int)
+    sp.add_argument("--ring-len", required=True, type=int)
+
     sp = sub.add_parser("dot", help="DOT rendering of the explicit links")
     sp.add_argument("map")
     sp.add_argument("-o", "--out")
@@ -191,6 +201,12 @@ def _dispatch(args: argparse.Namespace) -> int:
                              witness_dir=args.witness_dir)
         print(report.summary())
         return 0 if report.passed else 1
+
+    if cmd == "sweep":
+        sweep = exhaustive_jordan(args.darts, args.ring_len)
+        print(sweep.summary())
+        print(f"rings_by_length={_length_tally(sweep.rings_by_length)}")
+        return 0 if sweep.passed else 1
 
     if cmd == "dot":
         _write_out(to_dot(_load_checked(args.map, build_index)), args.out)

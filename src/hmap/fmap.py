@@ -12,7 +12,10 @@ A link joins the top of one chain to the bottom of another, so the
 closure of a chain reads only its two ends; the chain kernel
 (``ChainKernel``) is built by replaying a term, pairing those ends, and
 answers the observers below, except ``top`` and ``bottom``, in constant
-time.  Its checked construction is the well-formedness check.  The
+time.  Its checked construction is the well-formedness check.  A
+dimension's link rule reads only that dimension's chains and the dart
+set, so the exhaustive sweep instead joins, for each map, two checked
+one-dimension replays that many maps share (``_join_kernels``).  The
 observers here walk the term and stay the reference semantics.
 
 Observers are total: queries about the reserved nil dart or about darts
@@ -415,13 +418,14 @@ class ChainKernel:
     False) outside the dart set.
 
     ``ChainKernel(m)`` replays the steps of ``m`` in construction order,
-    in linear time, and is the one way a kernel is built.  Every step is
-    checked: the first whose precondition fails raises ConstraintError
-    naming it, so a kernel exists only for a well-formed term and the
-    constructor is the well-formedness check.
-    :class:`hmap.index.HypermapIndex` is a kernel plus orbit labels,
-    :class:`hmap.stats.IncrementalMap` an empty kernel that keeps its
-    counts current.
+    in linear time.  Every step is checked: the first whose precondition
+    fails raises ConstraintError naming it, so the constructor is the
+    well-formedness check.  The one other way a kernel is made is
+    ``_join_kernels``, from two kernels that replayed the inserts and
+    the links of one dimension each; so a kernel exists only for a
+    well-formed term either way.  :class:`hmap.index.HypermapIndex` is a
+    kernel plus orbit labels, :class:`hmap.stats.IncrementalMap` an
+    empty kernel that keeps its counts current.
     """
 
     __slots__ = ("dart_set", "chains")
@@ -517,6 +521,39 @@ class ChainKernel:
         self.dart_set.add(x)
         self.chains[0].end[x] = x
         self.chains[1].end[x] = x
+
+    def _adopt(self, kernel: "ChainKernel") -> None:
+        """Take the dart set and chains of ``kernel`` as this kernel's
+        own: shared, not copied, so neither may change afterwards."""
+        self.dart_set, self.chains = kernel.dart_set, kernel.chains
+
+
+def _join_kernels(zero: ChainKernel, one: ChainKernel) -> ChainKernel:
+    """The kernel of a term whose 0-links are those of ``zero`` and
+    whose 1-links are those of ``one``, over their one dart set.
+
+    Each of the two is the checked replay of the inserts and the links
+    of one dimension.  A dimension's link rule reads only that
+    dimension's chains and the dart set, so the term of the inserts,
+    the 0-links and the 1-links replays cleanly exactly when both did,
+    and its kernel has ``zero``'s chains at 0 and ``one``'s at 1.  The
+    joined kernel shares the dart set and the trackers of the two, so
+    none of the three may change afterwards.  ConstraintError when the
+    dart sets differ, or when either carries a link of the other
+    dimension.
+    """
+    if zero.dart_set != one.dart_set:
+        raise ConstraintError(
+            f"join: dart sets differ: {sorted(zero.dart_set ^ one.dart_set)} "
+            f"in one kernel only")
+    for k, kernel in ((1, zero), (0, one)):
+        if kernel.chains[k].succ:
+            raise ConstraintError(
+                f"join: the dimension-{1 - k} kernel carries {k}-links")
+    joined = ChainKernel.__new__(ChainKernel)
+    joined.dart_set = zero.dart_set
+    joined.chains = (zero.chains[0], one.chains[1])
+    return joined
 
 
 def kernel_of(m: FreeMap) -> ChainKernel:

@@ -190,7 +190,8 @@ def test_05_ring_break_exhaustive():
     dt = time.perf_counter() - t0
     expected_maps = sum(c * c for c in (1, 1, 3, 13, 73, 501))
     record(report.passed and report.maps_seen == expected_maps
-           and report.rings_checked > 0 and dt < 300,
+           and report.rings_checked > 0
+           and report.rings_by_length == {1: 247400, 2: 40704} and dt < 300,
            f"ring break adds one component, exhaustive on all planar maps "
            f"up to 5 darts, rings up to 3 items: {report.summary()} ({dt:.1f}s)")
 

@@ -165,6 +165,9 @@ def test_gen_impossible_exits_2(capsys):
     (["fuzz", "--trials", "3", "--seed", "1", "--size", "-5"], "size bound -5"),
     (["fuzz", "--trials", "3", "--seed", "1", "--size", "0"], "size bound 0"),
     (["fuzz", "--trials", "3", "--seed", "1", "--size", "1"], "size bound 1"),
+    (["sweep", "--darts", "-1", "--ring-len", "3"], "dart count -1"),
+    (["sweep", "--darts", "3", "--ring-len", "0"], "ring length 0"),
+    (["sweep", "--darts", "3", "--ring-len", "-2"], "ring length -2"),
 ])
 def test_negative_counts_exit_2(argv, blamed, capsys):
     assert run_cli(argv) == 2
@@ -179,6 +182,23 @@ def test_fuzz_small(capsys):
     out = capsys.readouterr().out
     assert "trials=20" in out
     assert "verdict=pass" in out
+
+
+def test_sweep_prints_summary_and_ring_lengths(capsys):
+    assert run_cli(["sweep", "--darts", "4", "--ring-len", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "maps=5509 planar=4171 rings=5584 delta_failures=0 "
+        "soundness_failures=0 verdict=pass\n"
+        "rings_by_length=1:5200,2:384\n")
+
+
+def test_sweep_failure_exits_1(monkeypatch, capsys):
+    from hmap import jordan
+    monkeypatch.setattr(jordan, "count_components", lambda m: -1)
+    assert run_cli(["sweep", "--darts", "3", "--ring-len", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "delta_failures=136 " in out and "verdict=FAIL" in out
+    assert out.endswith("rings_by_length=1:136\n")
 
 
 def test_dot(files, tmp_path):

@@ -35,6 +35,8 @@ from hmap import (
     tail_is_ring_after_first_break,
 )
 from hmap import jordan
+from hmap.fmap import ChainKernel, _join_kernels
+from hmap.index import HypermapIndex
 
 from conftest import build_digon
 
@@ -233,6 +235,42 @@ class TestFindRing:
             assert jordan_check(m, ring).passed
 
 
+def _ring_text(ring) -> str:
+    return " ".join(f"{x}{'+' if flag else '-'}" for x, flag in ring)
+
+
+class TestRingSearchPin:
+    """The ring search yields a fixed sequence of rings for each map, and
+    ``find_ring`` a fixed first ring for each seed.  The digest was
+    recorded before the search's recursive generators were replaced by a
+    loop over an explicit stack, which had to keep every ring and its
+    place.  The planar maps hold rings of 1 to 3 items; the 3n-attempt
+    ``random_map`` terms, which need not be planar, add rings of 4."""
+
+    DIGEST = "ddaa778cfd0f70f57a129541eff3e4e4c180ed3aa349c8a595f066e79e220942"
+
+    def test_digest_of_searched_rings(self):
+        digest = hashlib.sha256()
+        for m in enumerate_maps(4):
+            idx = build_index(m)
+            if idx.stats.planar:
+                digest.update("|".join(map(_ring_text, candidate_rings(idx, 4))).encode()
+                              + b"\n")
+        terms = [random_planar_map(s, n, n + s % (n + 1))
+                 for s, n in ((s, 6 + s % 40) for s in range(300))]
+        terms += [random_map(s, 8 + s % 30, 3 * (8 + s % 30)) for s in range(100)]
+        for s, m in enumerate(terms):
+            idx = build_index(m)
+            digest.update("|".join(map(_ring_text, candidate_rings(idx, 4))).encode()
+                          + b"\n")
+            ring = find_ring(idx, 4, s)
+            digest.update(("none" if ring is None else _ring_text(ring)).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_fuzz_rings_by_length(self):
+        assert fuzz_jordan(1000, 7, 32).rings_by_length == {1: 795, 2: 10}
+
+
 class TestFuzz:
     def test_zero_trials(self):
         rep = fuzz_jordan(0, 1, 8)
@@ -318,6 +356,19 @@ class TestEnumeration:
             assert sum(seen.values()) == factorial(n - 1) * walsh
         assert [sum(s.values()) for s in connected_planar.values()] == [1, 3, 24, 336]
 
+    @pytest.mark.parametrize("max_darts, by_length", [
+        (0, {}), (3, {1: 136}), (4, {1: 5200, 2: 384})])
+    def test_exhaustive_jordan_rings_by_length(self, max_darts, by_length):
+        rep = exhaustive_jordan(max_darts, 3)
+        assert rep.rings_by_length == by_length
+        assert sum(rep.rings_by_length.values()) == rep.rings_checked
+
+    @pytest.mark.parametrize("args, blamed", [
+        ((-1, 3), "dart count -1"), ((3, 0), "ring length 0"), ((3, -4), "ring length -4")])
+    def test_exhaustive_jordan_refuses_vacuous_arguments(self, args, blamed):
+        with pytest.raises(ConstraintError, match=blamed):
+            exhaustive_jordan(*args)
+
     def test_exhaustive_jordan_tiny(self):
         rep = exhaustive_jordan(3, 3)
         assert rep.passed, rep.summary()
@@ -344,6 +395,46 @@ class TestEnumeration:
         rep = exhaustive_jordan(3, 3)
         assert (rep.delta_failures, rep.ring_soundness_failures) == (0, rings)
         assert not rep.passed
+
+
+class TestJoinedKernels:
+    """The sweep's indexes adopt a kernel joined of two one-dimension
+    replays; each must equal the index of one replay of its whole term."""
+
+    SLOTS = ("term", "darts", "face_perm", "face_ids", "component_ids", "stats",
+             "closure", "edge_ids", "vertex_ids")
+
+    def test_joined_index_equals_build_index(self):
+        terms = []
+        for m, kernel in jordan._maps(4, kernels=True):
+            joined, built = HypermapIndex(m, kernel=kernel), build_index(m)
+            for slot in self.SLOTS:
+                assert getattr(joined, slot) == getattr(built, slot), (m, slot)
+            assert joined.dart_set == built.dart_set
+            for cj, cb in zip(joined.chains, built.chains):
+                assert (cj.k, cj.succ, cj.pred) == (cb.k, cb.succ, cb.pred), m
+            for k in (d0, d1):
+                for z in built.darts:
+                    assert joined.top(k, z) == built.top(k, z), (m, k, z)
+                    assert joined.bottom(k, z) == built.bottom(k, z), (m, k, z)
+            terms.append(m)
+        assert terms == list(enumerate_maps(4)) and len(terms) == 5509
+
+    def test_join_refuses_different_dart_sets(self):
+        with pytest.raises(ConstraintError, match=r"dart sets differ: \[3\]"):
+            _join_kernels(ChainKernel(make_map([1, 2])), ChainKernel(make_map([1, 2, 3])))
+
+    @pytest.mark.parametrize("k, blamed", [
+        (d0, "the dimension-1 kernel carries 0-links"),
+        (d1, "the dimension-0 kernel carries 1-links")])
+    def test_join_refuses_links_of_the_other_dimension(self, k, blamed):
+        plain, linked = ChainKernel(make_map([1, 2])), ChainKernel(make_map([1, 2], [(k, 1, 2)]))
+        pair = (plain, linked) if k is d0 else (linked, plain)
+        with pytest.raises(ConstraintError, match=blamed):
+            _join_kernels(*pair)
+        # in its own dimension the link is what the join expects
+        joined = _join_kernels(*pair[::-1])
+        assert joined.successor(k, 1) == 2 and joined.successor(k.other, 1) == 0
 
 
 class TestSwapOracle:

@@ -8,8 +8,9 @@ A function that reads a map takes it as one argument, the term or its
 index, so no public function has an ``index`` parameter as well.  Every
 replay checks its term, so none has a ``check`` parameter either.
 
-Every kernel is built by ``ChainKernel``'s constructor in ``fmap``: no
-other module assigns a kernel's ``dart_set`` or ``chains``.
+Every kernel's state is made in ``fmap``, by ``ChainKernel``'s
+constructor or, for the exhaustive sweep, by joining two one-dimension
+kernels: no other module assigns a kernel's ``dart_set`` or ``chains``.
 
 The generators reach ``random.Random`` through its public methods only.
 """
