@@ -203,10 +203,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if report.passed else 1
 
     if cmd == "sweep":
-        sweep = exhaustive_jordan(args.darts, args.ring_len)
-        print(sweep.summary())
-        print(f"rings_by_length={_length_tally(sweep.rings_by_length)}")
-        return 0 if sweep.passed else 1
+        report = exhaustive_jordan(args.darts, args.ring_len)
+        print(report.summary())
+        print(f"rings_by_length={_length_tally(report.rings_by_length)}")
+        return 0 if report.passed else 1
 
     if cmd == "dot":
         _write_out(to_dot(_load_checked(args.map, build_index)), args.out)

@@ -412,7 +412,8 @@ class TestJoinedKernels:
                 assert getattr(joined, slot) == getattr(built, slot), (m, slot)
             assert joined.dart_set == built.dart_set
             for cj, cb in zip(joined.chains, built.chains):
-                assert (cj.k, cj.succ, cj.pred) == (cb.k, cb.succ, cb.pred), m
+                assert ((cj.k, cj.succ, cj.pred, cj.end)
+                        == (cb.k, cb.succ, cb.pred, cb.end)), m
             for k in (d0, d1):
                 for z in built.darts:
                     assert joined.top(k, z) == built.top(k, z), (m, k, z)
@@ -428,7 +429,8 @@ class TestJoinedKernels:
         (d0, "the dimension-1 kernel carries 0-links"),
         (d1, "the dimension-0 kernel carries 1-links")])
     def test_join_refuses_links_of_the_other_dimension(self, k, blamed):
-        plain, linked = ChainKernel(make_map([1, 2])), ChainKernel(make_map([1, 2], [(k, 1, 2)]))
+        plain = ChainKernel(make_map([1, 2]))
+        linked = ChainKernel(make_map([1, 2], [(k, 1, 2)]))
         pair = (plain, linked) if k is d0 else (linked, plain)
         with pytest.raises(ConstraintError, match=blamed):
             _join_kernels(*pair)
