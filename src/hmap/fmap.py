@@ -31,7 +31,7 @@ and name the violated conjunct.
 from __future__ import annotations
 
 import warnings
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
@@ -140,6 +140,14 @@ class Insert(FreeMap):
     x: Dart
     _step = ("x",)
 
+    # Each slot is written through its descriptor; a frozen dataclass's
+    # generated __init__ goes through object.__setattr__ at twice the
+    # cost, paid by every step of every built term.  A dataclass keeps
+    # this __init__, and assignment still raises FrozenInstanceError.
+    def __init__(self, base: FreeMap, x: Dart) -> None:
+        _INSERT_BASE(self, base)
+        _INSERT_X(self, x)
+
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Link(FreeMap):
@@ -151,41 +159,16 @@ class Link(FreeMap):
     y: Dart
     _step = ("k", "x", "y")
 
-
-def _set_slots_directly() -> None:
-    """Give ``Insert`` and ``Link`` an ``__init__`` that writes each slot
-    through its descriptor.  The one a frozen dataclass generates writes
-    through ``object.__setattr__``, a generic attribute lookup per field,
-    at about twice the cost; every step of every generated, broken or
-    rebuilt term pays it.  Assignment still raises FrozenInstanceError."""
-    ins_base, ins_x = Insert.base.__set__, Insert.x.__set__
-    link_base, link_k, link_x, link_y = (
-        Link.base.__set__, Link.k.__set__, Link.x.__set__, Link.y.__set__)
-
-    def insert_init(self: Insert, base: FreeMap, x: Dart) -> None:
-        ins_base(self, base)
-        ins_x(self, x)
-
-    def link_init(self: Link, base: FreeMap, k: Dim, x: Dart, y: Dart) -> None:
-        link_base(self, base)
-        link_k(self, k)
-        link_x(self, x)
-        link_y(self, y)
-
-    for cls, init in ((Insert, insert_init), (Link, link_init)):
-        # each constructor writes every parameter it names; refuse to load
-        # if its class gains a field, a default or a __post_init__
-        code, declared = init.__code__, fields(cls)
-        if (tuple(f.name for f in declared) != code.co_varnames[1:code.co_argcount]
-                or any(f.default is not MISSING or f.default_factory is not MISSING
-                       for f in declared)
-                or hasattr(cls, "__post_init__")):
-            raise TypeError(f"{cls.__qualname__}.__init__ does not match its fields")
-        init.__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = init
+    def __init__(self, base: FreeMap, k: Dim, x: Dart, y: Dart) -> None:
+        _LINK_BASE(self, base)
+        _LINK_K(self, k)
+        _LINK_X(self, x)
+        _LINK_Y(self, y)
 
 
-_set_slots_directly()
+_INSERT_BASE, _INSERT_X = Insert.base.__set__, Insert.x.__set__
+_LINK_BASE, _LINK_K, _LINK_X, _LINK_Y = (
+    Link.base.__set__, Link.k.__set__, Link.x.__set__, Link.y.__set__)
 
 
 def _spine(m: FreeMap) -> tuple[list[Insert | Link], object]:
@@ -423,9 +406,10 @@ class ChainKernel:
     well-formedness check.  The one other way a kernel is made is
     ``_join_kernels``, from two kernels that replayed the inserts and
     the links of one dimension each; so a kernel exists only for a
-    well-formed term either way.  :class:`hmap.index.HypermapIndex` is a
-    kernel plus orbit labels, :class:`hmap.stats.IncrementalMap` an
-    empty kernel that keeps its counts current.
+    well-formed term either way.  :class:`hmap.index.HypermapIndex` is
+    orbit labels on a kernel made either way, whose state it adopts;
+    :class:`hmap.stats.IncrementalMap` an empty kernel that keeps its
+    counts current.
     """
 
     __slots__ = ("dart_set", "chains")

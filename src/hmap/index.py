@@ -2,14 +2,13 @@
 
 The recursive observers in :mod:`hmap.fmap` walk the term on every query,
 which is the right reference semantics but quadratic in bulk use.  A
-:class:`HypermapIndex` is a chain kernel, built by the kernel's
-constructor in one replay of the term, or, in the exhaustive sweep,
-adopted from a kernel joined of two one-dimension replays; the kernel
-holds the explicit links and pairs the two ends of every open chain.
-To it the index adds
-the face permutation and the face and component partitions, and on
-first read the closures and the edge and vertex partitions, answering
-all further queries in O(1).
+:class:`HypermapIndex` is a chain kernel that adopts the state of the
+kernel of its term: ``kernel_of``'s one checked replay, or, in the
+exhaustive sweep, a kernel joined of two one-dimension replays.  The
+kernel holds the explicit links and pairs the two ends of every open
+chain.  To it the index adds the face permutation and the face and
+component partitions, and on first read the closures and the edge and
+vertex partitions, answering all further queries in O(1).
 """
 
 from __future__ import annotations
@@ -20,13 +19,11 @@ from .fmap import (
     NIL,
     ChainKernel,
     ChainTracker,
-    ConstraintError,
     Dart,
     Dim,
     FreeMap,
     Insert,
     InternalInvariantError,
-    MapError,
     Void,
     _dim,
     kernel_of,
@@ -114,14 +111,13 @@ def _chain_ids(ch: ChainTracker) -> dict[Dart, Dart]:
 class HypermapIndex(ChainKernel):
     """Precomputed views of one well-formed map term.
 
-    The index is the kernel of its term, built by the kernel's checked
-    constructor (MapError on a term that is not well formed), unless
-    ``kernel`` is given: that is the caller's promise that ``kernel`` is
-    the kernel of ``m``'s steps, which the index adopts, sharing its dart
-    set and trackers, instead of replaying ``m``.  Only the exhaustive
-    sweep gives one, a kernel of ``fmap._join_kernels``.  Its dart
-    set and chains answer the explicit links, the closures, the face
-    successors and the construction preconditions on the indexed map.
+    The index adopts a kernel of its term, sharing its dart set and
+    trackers: ``kernel_of(m)`` (MapError on a term that is not well
+    formed), unless ``kernel`` is given, the caller's promise that it is
+    the kernel of ``m``'s steps; only the exhaustive sweep gives one, of
+    ``fmap._join_kernels``.  Its dart set and chains answer the explicit
+    links, the closures, the face successors and the construction
+    preconditions on the indexed map.
     Built with it are what ``stats`` counts: the sorted ``darts``,
     ``face_perm`` as a permutation dict, and the labellings ``face_ids``
     and ``component_ids``, which map each dart to its orbit's minimum
@@ -136,13 +132,7 @@ class HypermapIndex(ChainKernel):
     )
 
     def __init__(self, m: FreeMap, *, kernel: ChainKernel | None = None) -> None:
-        if kernel is not None:
-            self._adopt(kernel)
-        else:
-            try:
-                super().__init__(m)
-            except ConstraintError as exc:
-                raise MapError(f"map is not well formed: {exc}") from None
+        self._adopt(kernel_of(m) if kernel is None else kernel)
         ch0, ch1 = self.chains
         darts = sorted(self.dart_set)
         # a dart without a predecessor is a bottom, whose end is its top

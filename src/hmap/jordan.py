@@ -114,7 +114,11 @@ def random_map(seed: int, n_darts: int, n_link_attempts: int) -> FreeMap:
 
     Each attempt draws its dimension as ``getrandbits(1)`` and its two
     darts as ``randint(1, n)`` would, by the rule of
-    :func:`random_planar_map`."""
+    :func:`random_planar_map`.  ConstraintError on a negative count."""
+    if n_darts < 0:
+        raise ConstraintError(f"dart count {n_darts} is negative")
+    if n_link_attempts < 0:
+        raise ConstraintError(f"link attempt count {n_link_attempts} is negative")
     rng = random.Random(seed)
     inc = IncrementalMap()
     for d in range(1, n_darts + 1):
@@ -404,9 +408,8 @@ def load_witness(directory: str | os.PathLike,
 
 
 def _witness_dir(explicit: str | None) -> str | None:
-    if explicit is not None:
-        return explicit
-    return os.environ.get("HMAP_WITNESS_DIR")
+    """``explicit``, else HMAP_WITNESS_DIR; an empty value counts as unset."""
+    return explicit or os.environ.get("HMAP_WITNESS_DIR") or None
 
 
 def fuzz_jordan(trials: int, seed: int, size_bound: int, *,
@@ -499,30 +502,27 @@ def _linked(m: FreeMap, k: Dim, system: dict[Dart, Dart]) -> FreeMap:
     return m
 
 
-def _maps(max_darts: int,
-          kernels: bool) -> Iterator[tuple[FreeMap, ChainKernel | None]]:
-    """Every map of :func:`enumerate_maps`, in its order, each with its
-    kernel when ``kernels`` is set and with None otherwise.
+def _maps(max_darts: int) -> Iterator[tuple[FreeMap, ChainKernel, ChainKernel]]:
+    """Every map of :func:`enumerate_maps`, in its order, with the
+    kernel of its inserts and 0-links and that of its inserts and
+    1-links, which ``_join_kernels`` joins into the map's kernel.
 
     On ``n`` darts a map is the inserts of 1..n, the 0-links of one link
-    system and the 1-links of one, so ``s`` systems make ``s * s`` maps.
-    Their kernels take ``2 * s`` checked replays, one per system and
-    dimension, joined by ``_join_kernels``; joined kernels share their
-    trackers, so none may leave the caller.
+    system and the 1-links of one, so ``s`` systems make ``s * s`` maps
+    from ``2 * s`` checked replays, one per system and dimension.  Maps
+    share these kernels, so none may change.
     """
     for n in range(max_darts + 1):
         base: FreeMap = Void()
         for d in range(1, n + 1):
             base = Insert(base, d)
         systems = list(_path_systems(range(1, n + 1)))
-        ones = [ChainKernel(_linked(base, _ONE, s1)) if kernels else None
-                for s1 in systems]
+        ones = [ChainKernel(_linked(base, _ONE, s1)) for s1 in systems]
         for s0 in systems:
             m0 = _linked(base, _ZERO, s0)
-            zero = ChainKernel(m0) if kernels else None
+            zero = ChainKernel(m0)
             for s1, one in zip(systems, ones):
-                yield (_linked(m0, _ONE, s1),
-                       _join_kernels(zero, one) if kernels else None)
+                yield _linked(m0, _ONE, s1), zero, one
 
 
 def enumerate_maps(max_darts: int) -> Iterator[FreeMap]:
@@ -533,7 +533,7 @@ def enumerate_maps(max_darts: int) -> Iterator[FreeMap]:
     one construction order per link structure cover all behaviors the
     observers can distinguish.
     """
-    for m, _ in _maps(max_darts, kernels=False):
+    for m, _, _ in _maps(max_darts):
         yield m
 
 
@@ -568,9 +568,9 @@ def exhaustive_jordan(max_darts: int, max_ring_len: int) -> ExhaustiveReport:
     Maps of at most 5 darts hold rings of 1 and 2 items only (247,400
     and 40,704 of them), so there a cap of 3 or more never binds.
 
-    Each map's index adopts a kernel joined of two one-dimension
-    replays (see ``_maps``) instead of replaying the map; these indexes
-    share their trackers and stay inside this function.
+    Each map's index adopts the join of its two one-dimension kernels
+    (see ``_maps``) instead of replaying the map; these indexes share
+    their trackers and stay inside this function.
     """
     if max_darts < 0:
         raise ConstraintError(f"dart count {max_darts} is negative")
@@ -578,9 +578,9 @@ def exhaustive_jordan(max_darts: int, max_ring_len: int) -> ExhaustiveReport:
         raise ConstraintError(f"ring length {max_ring_len} is below 1")
     report = ExhaustiveReport()
     by_length = report.rings_by_length
-    for m, kernel in _maps(max_darts, kernels=True):
+    for m, zero, one in _maps(max_darts):
         report.maps_seen += 1
-        idx = HypermapIndex(m, kernel=kernel)
+        idx = HypermapIndex(m, kernel=_join_kernels(zero, one))
         if not idx.stats.planar:
             continue
         report.planar_maps += 1

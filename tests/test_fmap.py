@@ -1,6 +1,7 @@
 """Term constructors, observers, preconditions, and destructors."""
 
 import dataclasses
+import inspect
 import random
 import warnings
 
@@ -68,9 +69,16 @@ class TestTermIdentity:
                              ids=["Insert", "Link"])
     def test_steps_are_frozen_and_built_from_their_fields(self, node):
         # the constructors write the slots themselves, not through the
-        # dataclass-generated __init__; they must build the same records
-        names = [f.name for f in dataclasses.fields(node)]
+        # dataclass-generated __init__; they must build the same records,
+        # so each takes every field, none has a default or a post-init step
+        fields = dataclasses.fields(node)
+        names = [f.name for f in fields]
         assert names == ["base", *node._step]
+        params = inspect.signature(type(node).__init__).parameters
+        assert list(params) == ["self", *names]
+        assert all(f.default is dataclasses.MISSING
+                   and f.default_factory is dataclasses.MISSING for f in fields)
+        assert not hasattr(type(node), "__post_init__")
         values = [getattr(node, f) for f in names]
         assert type(node)(*values) == node == type(node)(**dict(zip(names, values)))
         assert dataclasses.replace(node, x=2).x == 2 and node.x == 1

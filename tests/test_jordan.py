@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -36,7 +37,7 @@ from hmap import (
 )
 from hmap import jordan
 from hmap.fmap import ChainKernel, _join_kernels
-from hmap.index import HypermapIndex
+from hmap.index import HypermapIndex, count_components
 
 from conftest import build_digon
 
@@ -113,6 +114,13 @@ class TestRandomMap:
     def test_empty(self):
         st = counts(random_map(0, 0, 10))
         assert st.n_darts == 0
+
+    @pytest.mark.parametrize("args, blamed", [
+        ((1, -3, 5), "dart count -3 is negative"),
+        ((1, 3, -5), "link attempt count -5 is negative")])
+    def test_refuses_negative_counts(self, args, blamed):
+        with pytest.raises(ConstraintError, match=blamed):
+            random_map(*args)
 
 
 class TestRandomPlanarMap:
@@ -315,6 +323,10 @@ class TestWitnessFiles:
         monkeypatch.setenv("HMAP_WITNESS_DIR", str(tmp_path))
         assert _witness_dir(None) == str(tmp_path)
         assert _witness_dir("explicit") == "explicit"
+        # an empty value counts as unset, never as the current directory
+        assert _witness_dir("") == str(tmp_path)
+        monkeypatch.setenv("HMAP_WITNESS_DIR", "")
+        assert _witness_dir(None) is None and _witness_dir("") is None
         monkeypatch.delenv("HMAP_WITNESS_DIR")
         assert _witness_dir(None) is None
 
@@ -406,8 +418,9 @@ class TestJoinedKernels:
 
     def test_joined_index_equals_build_index(self):
         terms = []
-        for m, kernel in jordan._maps(4, kernels=True):
-            joined, built = HypermapIndex(m, kernel=kernel), build_index(m)
+        for m, zero, one in jordan._maps(4):
+            joined = HypermapIndex(m, kernel=_join_kernels(zero, one))
+            built = build_index(m)
             for slot in self.SLOTS:
                 assert getattr(joined, slot) == getattr(built, slot), (m, slot)
             assert joined.dart_set == built.dart_set
@@ -463,3 +476,77 @@ class TestSwapOracle:
                     ca0[z] = y
         broken_idx = build_index(break_ring(m, ring))
         assert ca0 == broken_idx.closure[0]
+
+
+def _vertex_chains(*vertices):
+    """The 1-links that lay out each vertex's darts, in the order given,
+    as one open 1-chain."""
+    return [(d1, a, b) for darts in vertices for a, b in zip(darts, darts[1:])]
+
+
+def _theta(cut1, cut2):
+    """Two vertices joined by three edges: darts 1-6, 0-links 1->2, 3->4
+    and 5->6, vertices (1 3 6) and (2 5 4), each cut open after its
+    ``cut``-th dart."""
+    v1, v2 = (1, 3, 6), (2, 5, 4)
+    return make_map(range(1, 7), [(d0, 1, 2), (d0, 3, 4), (d0, 5, 6)]
+                    + _vertex_chains(v1[cut1:] + v1[:cut1], v2[cut2:] + v2[:cut2]))
+
+
+def _grid(k):
+    """The k x k grid: each grid edge is two new darts with a 0-link
+    a -> b, and each vertex's darts in E, N, W, S order form one 1-chain."""
+    at = {(i, j): {} for i in range(k) for j in range(k)}
+    links = []
+    for (i, j), here in at.items():
+        for di, dj, out, back in ((1, 0, "E", "W"), (0, 1, "N", "S")):
+            if (i + di, j + dj) in at:
+                a = 2 * len(links) + 1
+                links.append((d0, a, a + 1))
+                here[out], at[i + di, j + dj][back] = a, a + 1
+    return make_map(range(1, 2 * len(links) + 1),
+                    links + _vertex_chains(*[[ds[d] for d in "ENWS" if d in ds]
+                                             for ds in at.values()]))
+
+
+class TestLongRings:
+    """The law, both lemmas and the paper's induction on rings of 3 to 6
+    items, which no map of at most 5 darts holds."""
+
+    @staticmethod
+    def _check_by_induction(m, ring):
+        idx = build_index(m)
+        assert check_ring(idx, ring).valid
+        assert jordan_check(idx, ring).passed
+        assert first_break_keeps_connected(idx, ring)
+        assert tail_is_ring_after_first_break(idx, ring)
+        # each break but the last keeps the map planar, its count and the
+        # rest of the ring valid; the last adds one component
+        nc = idx.stats.n_components
+        for i in range(len(ring) - 1):
+            m = break_ring(m, ring[i:i + 1])
+            idx = build_index(m)
+            assert idx.stats.planar and idx.stats.n_components == nc, (ring, i)
+            assert check_ring(idx, ring[i + 1:]).valid, (ring, i)
+        assert count_components(break_ring(m, ring[-1:])) == nc + 1, ring
+
+    @pytest.mark.parametrize("cut1, cut2", [(a, b) for a in range(3) for b in range(3)])
+    def test_theta_has_six_rings_of_three(self, cut1, cut2):
+        m = _theta(cut1, cut2)
+        assert is_planar(m)
+        rings = list(candidate_rings(build_index(m), 6))
+        assert len(rings) == 6 and {len(r) for r in rings} == {3}
+        assert (RingItem(1, False), RingItem(5, True), RingItem(3, False)) in rings
+        for ring in rings:
+            self._check_by_induction(m, ring)
+
+    @pytest.mark.parametrize("k, by_length", [
+        (3, {2: 16, 3: 96, 4: 136, 5: 160}),
+        (4, {2: 16, 3: 96, 4: 240, 5: 640, 6: 1440})])
+    def test_grid_rings_up_to_six(self, k, by_length):
+        m = _grid(k)
+        assert counts(m).n_darts == 4 * k * (k - 1) and is_planar(m)
+        rings = list(candidate_rings(build_index(m), 6))
+        assert Counter(len(r) for r in rings) == by_length
+        for ring in rings:
+            self._check_by_induction(m, ring)

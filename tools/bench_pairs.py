@@ -69,7 +69,8 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summary(record: dict, bench: dict) -> list[str]:
     """One line per workload and end-to-end metric: each side's median
-    and quartiles, the change of the median, and the pairs the change won."""
+    and quartiles, the change of the median, and the pairs the change won;
+    then per workload the failed ops and the incorrect runs of each side."""
     lines = []
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     for w in dict.fromkeys(r["workload"] for r in record["runs"]):
@@ -93,6 +94,9 @@ def summary(record: dict, bench: dict) -> list[str]:
         attempted = {s: sum(p[s]["attempted"] for p in full) for s in SIDES}
         lines.append(f"{w:9s} failed      parent {failed['parent']}/{attempted['parent']}  "
                      f"change {failed['change']}/{attempted['change']}")
+        wrong = {s: sum(not p[s]["correct"] for p in full) for s in SIDES}
+        lines.append(f"{w:9s} incorrect   parent {wrong['parent']}/{len(full)} runs  "
+                     f"change {wrong['change']}/{len(full)} runs")
     return lines
 
 
