@@ -12,11 +12,12 @@ A link joins the top of one chain to the bottom of another, so the
 closure of a chain reads only its two ends; the chain kernel
 (``ChainKernel``) is built by replaying a term, pairing those ends, and
 answers the observers below, except ``top`` and ``bottom``, in constant
-time.  Its checked construction is the well-formedness check.  A
-dimension's link rule reads only that dimension's chains and the dart
-set, so the exhaustive sweep instead joins, for each map, two checked
-one-dimension replays that many maps share (``_join_kernels``).  The
-observers here walk the term and stay the reference semantics.
+time.  Its checked construction is the well-formedness check, and the
+kernel of ``kernel_of`` that an index adopts.  A dimension's link rule
+reads only that dimension's chains and the dart set, so the sweep joins
+two checked one-dimension replays that many maps share
+(``_join_kernels``).  The observers here walk the term and stay the
+reference semantics.
 
 Observers are total: queries about the reserved nil dart or about darts
 that were never inserted answer nil (or False) instead of raising.
