@@ -8,16 +8,16 @@ dimension's explicit links acyclic, so each orbit is an open chain with a
 well defined ``bottom`` and ``top``; the missing wrap-around step of each
 chain is recovered by ``closed_successor``/``closed_predecessor``, under
 which a well-formed term presents as a pair of permutations of its darts.
-A link joins the top of one chain to the bottom of another, so the
-closure of a chain reads only its two ends; the chain kernel
-(``ChainKernel``) is built by replaying a term, pairing those ends, and
-answers the observers below, except ``top`` and ``bottom``, in constant
-time.  Its checked construction is the well-formedness check, and the
-kernel of ``kernel_of`` that an index adopts.  A dimension's link rule
-reads only that dimension's chains and the dart set, so the sweep joins
-two checked one-dimension replays that many maps share
-(``_join_kernels``).  The observers here walk the term and stay the
-reference semantics.
+The chain kernel (``ChainKernel``) is built by replaying a term and
+stores those permutations, each dimension's closure and its inverse: a
+link joins the top of one chain to the bottom of another, so it rewires
+two darts of each.  The kernel answers the observers below, except
+``top`` and ``bottom``, in constant time.  Its checked construction is
+the well-formedness check, and the kernel of ``kernel_of`` that an
+index adopts.  A dimension's link rule reads only that dimension's
+chains and the dart set, so the sweep joins two checked one-dimension
+replays that many maps share (``_join_kernels``).  The observers here
+walk the term and stay the reference semantics.
 
 Observers are total: queries about the reserved nil dart or about darts
 that were never inserted answer nil (or False) instead of raising.
@@ -34,7 +34,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, KeysView
 
 Dart = int
 
@@ -327,48 +327,46 @@ def closed_face_predecessor(m: FreeMap, z: Dart) -> Dart:
 # the chain kernel: construction preconditions, replay, well-formedness
 
 class ChainTracker:
-    """The open chains of dimension ``k``, tracked by their two ends.
+    """The open chains of dimension ``k``, stored as the closure
+    permutation and its inverse.
 
-    ``end`` pairs each chain's bottom with its top and its top with its
-    bottom; a lone dart is paired with itself, so the keys of ``end`` are
-    the darts.  A link ``x -> y`` joins the top ``x`` of one chain to the
-    bottom ``y`` of another, so only ends are ever read: the closures
-    need the far end of a dart without a successor (a top) or without a
-    predecessor (a bottom).  The entry of a dart that a link made inner
-    is stale and never read.  ``violation`` is the one statement of the
-    link rule; ``link`` refuses a link that breaks it before any change.
+    ``succ`` holds the explicit links.  ``closed_succ`` is the closure
+    of dimension ``k``, total on the darts: the explicit link, else the
+    wrap-around from a chain's top to its bottom; ``closed_pred`` is
+    its inverse.  The keys of either are the darts, and a lone dart is
+    a fixed point.  A link ``x -> y`` joins the top ``x`` of one chain,
+    whose closed successor is that chain's bottom, to the bottom ``y``
+    of another, whose closed predecessor is that chain's top, so it
+    rewires two darts in each direction.  ``violation`` is the one
+    statement of the link rule; ``link`` refuses a link that breaks it
+    before any change.
     """
 
-    __slots__ = ("k", "succ", "pred", "end")
+    __slots__ = ("k", "succ", "closed_succ", "closed_pred")
 
     def __init__(self, k: int) -> None:
         self.k = k
         self.succ: dict[Dart, Dart] = {}
-        self.pred: dict[Dart, Dart] = {}
-        self.end: dict[Dart, Dart] = {}
-
-    def closed_succ(self, z: Dart) -> Dart:
-        s = self.succ.get(z)
-        return self.end[z] if s is None else s
-
-    def closed_pred(self, z: Dart) -> Dart:
-        s = self.pred.get(z)
-        return self.end[z] if s is None else s
+        self.closed_succ: dict[Dart, Dart] = {}
+        self.closed_pred: dict[Dart, Dart] = {}
 
     def violation(self, x: Dart, y: Dart) -> str | None:
-        """Reason ``x -> y`` cannot be linked, or None.  The closure
-        conjunct, that the closed successor of the top ``x`` (its
-        ``end``) is not ``y``, keeps every orbit an open chain."""
-        end = self.end
-        if x not in end:
+        """Reason ``x -> y`` cannot be linked, or None.  A dart has an
+        explicit predecessor exactly when its closed predecessor has a
+        successor; the closure conjunct, that the closed successor of
+        the top ``x`` (its chain's bottom) is not ``y``, keeps every
+        orbit an open chain."""
+        cs = self.closed_succ
+        if x not in cs:
             return f"dart {x} does not exist"
-        if y not in end:
+        if y not in cs:
             return f"dart {y} does not exist"
-        if x in self.succ:
+        succ = self.succ
+        if x in succ:
             return f"dart {x} already has a {self.k}-successor"
-        if y in self.pred:
+        if self.closed_pred[y] in succ:
             return f"dart {y} already has a {self.k}-predecessor"
-        if end[x] == y:
+        if cs[x] == y:
             return f"linking {x}->{y} would close the {self.k}-orbit"
         return None
 
@@ -382,24 +380,24 @@ class ChainTracker:
         reason = self.violation(x, y)
         if reason is not None:
             raise self.refusal(x, y, reason)
-        end = self.end
-        bottom, top = end[x], end[y]
+        cs, cp = self.closed_succ, self.closed_pred
+        bottom, top = cs[x], cp[y]
         self.succ[x] = y
-        self.pred[y] = x
-        end[bottom] = top
-        end[top] = bottom
+        cs[x], cs[top] = y, bottom
+        cp[y], cp[bottom] = x, top
         return bottom, top
 
 
 class ChainKernel:
-    """The dart set and the open chains of both dimensions of a term.
+    """The open chains of both dimensions of a term.
 
     Each dimension is a :class:`ChainTracker`, so every step and every
-    closure is a constant number of dict operations.  With its trackers
-    this is the one statement of the construction preconditions and of
-    their messages, and of the fast form of the term observers: each
-    answers as its namesake in this module does on the term, nil (or
-    False) outside the dart set.
+    closure is a constant number of dict operations; the darts are the
+    keys of the closures, read as ``dart_set``.  With its trackers this
+    is the one statement of the construction preconditions and of their
+    messages, and of the fast form of the term observers: each answers
+    as its namesake in this module does on the term, nil (or False)
+    outside the dart set.
 
     ``ChainKernel(m)`` replays the steps of ``m`` in construction order,
     in linear time.  Every step is checked: the first whose precondition
@@ -413,10 +411,9 @@ class ChainKernel:
     counts current.
     """
 
-    __slots__ = ("dart_set", "chains")
+    __slots__ = ("chains",)
 
     def __init__(self, m: FreeMap = Void()) -> None:
-        self.dart_set: set[Dart] = set()
         self.chains = (ChainTracker(0), ChainTracker(1))
         c0, c1 = self.chains
         zero, one = Dim.zero, Dim.one  # identity tests, not Dim.value reads
@@ -430,30 +427,36 @@ class ChainKernel:
             else:
                 raise TypeError(f"not a dimension: {node.k!r}")
 
+    @property
+    def dart_set(self) -> KeysView[Dart]:
+        """The darts, a read-only view."""
+        return self.chains[0].closed_succ.keys()
+
     # -- the term observers ---------------------------------------------------
 
     def has_dart(self, z: Dart) -> bool:
-        return z in self.dart_set
+        return z in self.chains[0].closed_succ
 
     def successor(self, k: Dim, z: Dart) -> Dart:
         return self.chains[_dim(k)].succ.get(z, NIL)
 
     def predecessor(self, k: Dim, z: Dart) -> Dart:
-        return self.chains[_dim(k)].pred.get(z, NIL)
+        ch = self.chains[_dim(k)]
+        p = ch.closed_pred.get(z, NIL)
+        return p if p in ch.succ else NIL
 
     def has_successor(self, k: Dim, z: Dart) -> bool:
         return z in self.chains[_dim(k)].succ
 
     def has_predecessor(self, k: Dim, z: Dart) -> bool:
-        return z in self.chains[_dim(k)].pred
+        ch = self.chains[_dim(k)]
+        return ch.closed_pred.get(z) in ch.succ
 
     def closed_successor(self, k: Dim, z: Dart) -> Dart:
-        ch = self.chains[_dim(k)]
-        return ch.closed_succ(z) if z in self.dart_set else NIL
+        return self.chains[_dim(k)].closed_succ.get(z, NIL)
 
     def closed_predecessor(self, k: Dim, z: Dart) -> Dart:
-        ch = self.chains[_dim(k)]
-        return ch.closed_pred(z) if z in self.dart_set else NIL
+        return self.chains[_dim(k)].closed_pred.get(z, NIL)
 
     def face_successor(self, z: Dart) -> Dart:
         return self.predecessor(_ONE, self.predecessor(_ZERO, z))
@@ -475,7 +478,7 @@ class ChainKernel:
             return "dart id is the reserved nil value"
         if x < 0:
             return f"dart id {x} is negative"
-        if x in self.dart_set:
+        if x in self.chains[0].closed_succ:
             return f"duplicate insert, dart {x} already exists"
         return None
 
@@ -503,14 +506,13 @@ class ChainKernel:
         reason = self.insert_violation(x)
         if reason is not None:
             raise ConstraintError(f"insert {x}: {reason}")
-        self.dart_set.add(x)
-        self.chains[0].end[x] = x
-        self.chains[1].end[x] = x
+        for ch in self.chains:
+            ch.closed_succ[x] = ch.closed_pred[x] = x
 
     def _adopt(self, kernel: "ChainKernel") -> None:
-        """Take the dart set and chains of ``kernel`` as this kernel's
-        own: shared, not copied, so neither may change afterwards."""
-        self.dart_set, self.chains = kernel.dart_set, kernel.chains
+        """Take the chains of ``kernel`` as this kernel's own: shared,
+        not copied, so neither kernel may change afterwards."""
+        self.chains = kernel.chains
 
 
 def _join_kernels(zero: ChainKernel, one: ChainKernel) -> ChainKernel:
@@ -522,8 +524,8 @@ def _join_kernels(zero: ChainKernel, one: ChainKernel) -> ChainKernel:
     dimension's chains and the dart set, so the term of the inserts,
     the 0-links and the 1-links replays cleanly exactly when both did,
     and its kernel has ``zero``'s chains at 0 and ``one``'s at 1.  The
-    joined kernel shares the dart set and the trackers of the two, so
-    none of the three may change afterwards.  ConstraintError when the
+    joined kernel shares those two trackers, closures included, so none
+    of the three may change afterwards.  ConstraintError when the
     dart sets differ, or when either carries a link of the other
     dimension.
     """
@@ -536,7 +538,6 @@ def _join_kernels(zero: ChainKernel, one: ChainKernel) -> ChainKernel:
             raise ConstraintError(
                 f"join: the dimension-{1 - k} kernel carries {k}-links")
     joined = ChainKernel.__new__(ChainKernel)
-    joined.dart_set = zero.dart_set
     joined.chains = (zero.chains[0], one.chains[1])
     return joined
 

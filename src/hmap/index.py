@@ -5,15 +5,16 @@ which is the right reference semantics but quadratic in bulk use.  A
 :class:`HypermapIndex` is a chain kernel that adopts the state of the
 kernel of its term: ``kernel_of``'s one checked replay, or, in the
 exhaustive sweep, a kernel joined of two one-dimension replays.  The
-kernel holds the explicit links and pairs the two ends of every open
-chain.  To it the index adds the face permutation and the face and
-component partitions, and on first read the closures and the edge and
-vertex partitions, answering all further queries in O(1).
+kernel holds the explicit links and the closure permutations of both
+dimensions with their inverses.  To them the index adds the face
+permutation and the face and component partitions, and on first read
+the edge and vertex partitions, answering all further queries in O(1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fmap import (
     NIL,
@@ -103,75 +104,67 @@ def _same(ids: dict[Dart, Dart], a: Dart, b: Dart) -> bool:
 
 def _chain_ids(ch: ChainTracker) -> dict[Dart, Dart]:
     """Label each dart with the bottom of its open chain, walking every
-    chain from its bottom along ``succ``."""
-    pred = ch.pred
-    return _orbit_ids([d for d in ch.end if d not in pred], ch.succ)
+    chain along ``succ`` from its bottom, the closed successor of its top."""
+    cs, succ = ch.closed_succ, ch.succ
+    return _orbit_ids([cs[d] for d in cs if d not in succ], succ)
 
 
 class HypermapIndex(ChainKernel):
     """Precomputed views of one well-formed map term.
 
-    The index adopts a kernel of its term, sharing its dart set and
-    trackers: ``kernel_of(m)`` (MapError on a term that is not well
-    formed), unless ``kernel`` is given, the caller's promise that it is
-    the kernel of ``m``'s steps; only the exhaustive sweep gives one, of
-    ``fmap._join_kernels``.  Its dart set and chains answer the explicit
-    links, the closures, the face successors and the construction
-    preconditions on the indexed map.
+    The index adopts a kernel of its term, sharing its trackers:
+    ``kernel_of(m)`` (MapError on a term that is not well formed),
+    unless ``kernel`` is given, the caller's promise that it is the
+    kernel of ``m``'s steps; only the exhaustive sweep gives one, of
+    ``fmap._join_kernels``.  Its chains answer the explicit links, the
+    closures, the face successors and the construction preconditions on
+    the indexed map, and ``closure[k]`` is the closure permutation of
+    dimension ``k``: the kernel's own dict, shared and not copied, so
+    it is read-only.
     Built with it are what ``stats`` counts: the sorted ``darts``,
     ``face_perm`` as a permutation dict, and the labellings ``face_ids``
     and ``component_ids``, which map each dart to its orbit's minimum
-    dart.  Built on first read are the closures ``closure[k]`` as
-    permutation dicts and the labellings ``edge_ids`` and
+    dart.  Built on first read are the labellings ``edge_ids`` and
     ``vertex_ids``, which map each dart to the bottom of its open chain.
     """
 
     __slots__ = (
-        "term", "darts", "face_perm", "face_ids", "component_ids", "stats",
-        "closure", "edge_ids", "vertex_ids",
+        "term", "darts", "closure", "face_perm", "face_ids", "component_ids", "stats",
+        "__dict__",
     )
 
     def __init__(self, m: FreeMap, *, kernel: ChainKernel | None = None) -> None:
         self._adopt(kernel_of(m) if kernel is None else kernel)
         ch0, ch1 = self.chains
-        darts = sorted(self.dart_set)
-        # a dart without a predecessor is a bottom, whose end is its top
-        pred0, pred1 = ch0.end | ch0.pred, ch1.end | ch1.pred
+        cp0, cp1 = ch0.closed_pred, ch1.closed_pred
+        darts = sorted(ch0.closed_succ)
 
         self.term = m
         self.darts = tuple(darts)
-        self.face_perm = {d: pred1[pred0[d]] for d in darts}
+        self.closure = (ch0.closed_succ, ch1.closed_succ)
+        self.face_perm = {d: cp1[cp0[d]] for d in darts}
         self.face_ids = _orbit_ids(darts, self.face_perm)
-        # the closures join no two darts that the explicit links do not
-        self.component_ids = _orbit_ids(darts, ch0.succ, ch0.pred, ch1.succ, ch1.pred)
+        # the two closures generate the components
+        self.component_ids = _orbit_ids(darts, *self.closure)
         # each k-link joins two open k-chains: one edge or vertex fewer
         nd = len(darts)
         self.stats = MapStats.from_counts(nd, nd - len(ch0.succ), nd - len(ch1.succ),
                                           len(set(self.face_ids.values())),
                                           len(set(self.component_ids.values())))
 
-    # a dart without a successor is a top, whose end is its bottom
-    _ON_FIRST_READ = {
-        "closure": lambda idx: tuple(ch.end | ch.succ for ch in idx.chains),
-        "edge_ids": lambda idx: _chain_ids(idx.chains[0]),
-        "vertex_ids": lambda idx: _chain_ids(idx.chains[1]),
-    }
+    @cached_property
+    def edge_ids(self) -> dict[Dart, Dart]:
+        return _chain_ids(self.chains[0])
 
-    def __getattr__(self, name: str) -> object:
-        """Build a view of ``_ON_FIRST_READ`` into its slot, which answers
-        every later read; only an unset slot's read gets here."""
-        build = self._ON_FIRST_READ.get(name)
-        if build is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = build(self)
-        setattr(self, name, value)
-        return value
+    @cached_property
+    def vertex_ids(self) -> dict[Dart, Dart]:
+        return _chain_ids(self.chains[1])
 
     # -- chain ends, from the labels -------------------------------------------
 
     def top(self, k: Dim, z: Dart) -> Dart:
         b = self.bottom(k, z)
-        return self.chains[_dim(k)].end[b] if b != NIL else NIL
+        return self.chains[_dim(k)].closed_pred[b] if b != NIL else NIL
 
     def bottom(self, k: Dim, z: Dart) -> Dart:
         return (self.vertex_ids if _dim(k) else self.edge_ids).get(z, NIL)

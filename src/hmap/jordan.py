@@ -194,7 +194,7 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
     rand, bits, nb = rng.random, rng.getrandbits, n_darts.bit_length()
     parent, face_next = inc.components, inc.face_next
     c0, c1 = inc.chains
-    pred0, end0, succ1, end1 = c0.pred, c0.end, c1.succ, c1.end
+    closed_pred0, closed_succ1 = c0.closed_pred, c1.closed_succ
     link_violation, link = inc.link_violation, inc.link
     dims = (_ZERO, _ONE)
     placed = 0
@@ -225,11 +225,10 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
             while j >= n:
                 j = bits(fb)
             a, b = face[i], face[j]
-            # darts are positive, so a closure is the explicit link or the end
             if r < 5.0:
-                k, x, y = _ZERO, succ1.get(a) or end1[a], b
+                k, x, y = _ZERO, closed_succ1[a], b
             else:
-                k, x, y = _ONE, a, pred0.get(b) or end0[b]
+                k, x, y = _ONE, a, closed_pred0[b]
         if link_violation(k, x, y) is None:
             link(k, x, y)
             placed += 1
@@ -263,16 +262,17 @@ def find_ring(m: FreeMap | HypermapIndex, max_len: int,
     return next((list(ring) for ring in rings), None)
 
 
-def candidate_rings(idx: HypermapIndex,
+def candidate_rings(m: FreeMap | HypermapIndex,
                     max_len: int) -> Iterator[tuple[RingItem, ...]]:
-    """Every valid ring of the indexed map with at most ``max_len`` items.
+    """Every valid ring of the map with at most ``max_len`` items.
 
     Singletons are the double-links bordering one face on both sides
     (either flag works, so both lists appear); longer rings are simple
     cycles through distinct faces over distinct edge orbits, and the
-    flags are forced by the traversal direction.
+    flags are forced by the traversal direction.  The map is indexed,
+    or refused with MapError, before the first ring is asked for.
     """
-    yield from _ring_search(idx, max_len, _keep_order)
+    return _ring_search(ensure_index(m), max_len, _keep_order)
 
 
 def _keep_order(seq: list) -> None:

@@ -184,13 +184,13 @@ class IncrementalMap(ChainKernel):
 
     # -- construction ---------------------------------------------------------
 
-    # The kernel's link checks, bound in this class body as well, so that
-    # the class lists them as its own methods: per-class instrumentation
-    # (such as the benchmark's tracer) sees every link attempt.  The
+    # The kernel's link check, bound in this class body as well, so that
+    # the class lists it as its own method: per-class instrumentation
+    # (such as the benchmark's tracer) sees every link attempt, since
+    # the inherited can_link and require_link call it too.  The
     # criteria's face-split and planarity-preservation tests are bound
     # the same way.
     link_violation = ChainKernel.link_violation
-    can_link = ChainKernel.can_link
     link_splits_face = _link_splits_face
     link_keeps_planar = _link_keeps_planar
 
@@ -209,13 +209,13 @@ class IncrementalMap(ChainKernel):
         if k is _ZERO:
             bottom, top = c0.link(x, y)
             splits = self.link_splits_face(k, x, y)
-            self.face_next[y] = c1.closed_pred(x)
-            self.face_next[bottom] = c1.closed_pred(top)
+            self.face_next[y] = c1.closed_pred[x]
+            self.face_next[bottom] = c1.closed_pred[top]
         elif k is _ONE:
             bottom, top = c1.link(x, y)
             splits = self.link_splits_face(k, x, y)
-            self.face_next[c0.closed_succ(y)] = x
-            self.face_next[c0.closed_succ(bottom)] = top
+            self.face_next[c0.closed_succ[y]] = x
+            self.face_next[c0.closed_succ[bottom]] = top
         else:
             raise TypeError(f"not a dimension: {k!r}")
 

@@ -149,7 +149,7 @@ def test_04_criterion_equivalence_exhaustive():
         planar = idx.stats.planar
         nc = idx.stats.n_components
         succ0 = idx.chains[0].succ
-        pred0 = idx.chains[0].pred
+        pred0 = set(succ0.values())  # the darts with an explicit 0-predecessor
         clos0 = idx.closure[0]
         for x in idx.darts:
             if x in succ0:

@@ -345,11 +345,11 @@ class TestWellFormed:
             with pytest.raises(ConstraintError) as want:
                 kern.require_link(k, x, y)
             assert str(want.value) == f"link {x}->{y} at dim {k.value}: {reason}"
-            before = (dict(c.succ), dict(c.pred), dict(c.end))
+            before = (dict(c.succ), dict(c.closed_succ), dict(c.closed_pred))
             with pytest.raises(ConstraintError) as got:
                 c.link(x, y)
             assert str(got.value) == str(want.value)
-            assert (c.succ, c.pred, c.end) == before
+            assert (c.succ, c.closed_succ, c.closed_pred) == before
 
     def test_checked_construction_always_well_formed(self, fixture15, digon, torus_quad):
         for m in (fixture15, digon, torus_quad):
@@ -372,11 +372,10 @@ def _fed_step_by_step(m):
 
 
 def _kernel_state(kern):
-    """The darts, the links of both trackers and ``end`` at every chain end."""
+    """The darts, and the links and both closures of each tracker."""
     out = [sorted(kern.dart_set)]
     for c in kern.chains:
-        ends = {d: c.end[d] for d in kern.dart_set if d not in c.succ or d not in c.pred}
-        out.append((c.succ, c.pred, ends))
+        out.append((c.succ, c.closed_succ, c.closed_pred))
     return out
 
 

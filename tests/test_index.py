@@ -176,20 +176,56 @@ def test_count_components_on_large_planar_maps(n):
     assert count_components(broken) == build_index(broken).stats.n_components
 
 
+def _chain_walk(m):
+    """The sorted darts, the explicit links and the closures of ``m``,
+    from its steps alone: each closure walks every open chain of the
+    explicit links from its bottom, a dart with no explicit predecessor,
+    and closes it from its top back to that bottom."""
+    darts, links = [], ({}, {})
+    for node in history(m):
+        if isinstance(node, Insert):
+            darts.append(node.x)
+        else:
+            links[node.k.value][node.x] = node.y
+    closure = ({}, {})
+    for succ, closed in zip(links, closure):
+        for bottom in set(darts) - set(succ.values()):
+            z = bottom
+            while z in succ:
+                closed[z] = z = succ[z]
+            closed[z] = bottom
+    return sorted(darts), links, closure
+
+
+def _assert_kernel_matches_walk(kern, m):
+    """Each tracker holds the closure of the chain walk and its inverse:
+    two inverse permutations of the darts, agreeing with the explicit
+    links on every linked dart, with each top's closed successor a
+    bottom."""
+    darts, links, closure = _chain_walk(m)
+    for ch, succ, want in zip(kern.chains, links, closure):
+        cs, cp = ch.closed_succ, ch.closed_pred
+        assert ch.succ == succ and cs == want, m
+        assert sorted(cs) == sorted(cs.values()) == sorted(cp) == darts, m
+        assert all(cp[cs[d]] == d for d in darts), m
+        assert all(cs[x] == y for x, y in ch.succ.items()), m
+        bottoms = set(darts) - set(succ.values())
+        assert all(cs[d] in bottoms for d in darts if d not in succ), m
+
+
 def _eager_views(m):
-    """Every view of the index as the eager build made it: the closures
-    and the face permutation from the kernel's closed successors and
-    predecessors, each labelling through ``_orbit_ids``."""
-    ch0, ch1 = kernel_of(m).chains
-    darts = sorted(ch0.end)
-    closure = ({d: ch0.closed_succ(d) for d in darts},
-               {d: ch1.closed_succ(d) for d in darts})
-    face_perm = {d: ch1.closed_pred(ch0.closed_pred(d)) for d in darts}
+    """Every view of the index, built from the chain walk: the face
+    permutation from the inverse closures, each labelling through
+    ``_orbit_ids``."""
+    darts, links, closure = _chain_walk(m)
+    inverse = [{w: d for d, w in c.items()} for c in closure]
+    face_perm = {d: inverse[1][inverse[0][d]] for d in darts}
+    bottoms = [sorted(set(darts) - set(succ.values())) for succ in links]
     return {
         "closure": closure,
         "face_perm": face_perm,
-        "edge_ids": _orbit_ids([d for d in darts if d not in ch0.pred], closure[0]),
-        "vertex_ids": _orbit_ids([d for d in darts if d not in ch1.pred], closure[1]),
+        "edge_ids": _orbit_ids(bottoms[0], closure[0]),
+        "vertex_ids": _orbit_ids(bottoms[1], closure[1]),
         "face_ids": _orbit_ids(darts, face_perm),
         "component_ids": _orbit_ids(darts, *closure),
     }
@@ -203,6 +239,7 @@ def _assert_lazy_views_match_eager(m):
                "face_perm", "stats"),
               ("component_ids", "edge_ids", "stats", "closure", "vertex_ids",
                "face_perm", "face_ids"))
+    _assert_kernel_matches_walk(kernel_of(m), m)
     for order in orders:
         idx = build_index(m)
         got = {name: getattr(idx, name) for name in order}
@@ -223,6 +260,20 @@ def test_lazy_views_equal_eager_ones_on_large_planar_maps(seed):
     rng = random.Random(seed)
     n = rng.randint(200, 3000)
     _assert_lazy_views_match_eager(random_planar_map(seed, n, rng.randint(n // 2, 2 * n)))
+
+
+def test_every_link_of_an_incremental_build_keeps_the_kernel_invariants():
+    m = random_planar_map(7, 200, 300)
+    inc = IncrementalMap()
+    links = 0
+    for node in history(m):
+        if isinstance(node, Insert):
+            inc.insert(node.x)
+        else:
+            inc.link(node.k, node.x, node.y)
+            _assert_kernel_matches_walk(inc, inc.term())
+            links += 1
+    assert links > 200
 
 
 def test_unknown_attribute_still_raises():

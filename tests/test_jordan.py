@@ -425,8 +425,8 @@ class TestJoinedKernels:
                 assert getattr(joined, slot) == getattr(built, slot), (m, slot)
             assert joined.dart_set == built.dart_set
             for cj, cb in zip(joined.chains, built.chains):
-                assert ((cj.k, cj.succ, cj.pred, cj.end)
-                        == (cb.k, cb.succ, cb.pred, cb.end)), m
+                assert ((cj.k, cj.succ, cj.closed_succ, cj.closed_pred)
+                        == (cb.k, cb.succ, cb.closed_succ, cb.closed_pred)), m
             for k in (d0, d1):
                 for z in built.darts:
                     assert joined.top(k, z) == built.top(k, z), (m, k, z)

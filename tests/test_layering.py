@@ -83,7 +83,7 @@ def test_only_fmap_builds_kernel_state():
     offenders = {p.name: _kernel_state_stores(p) for p in sorted(SRC.glob("*.py"))
                  if p.stem != "fmap"}
     assert {name: attrs for name, attrs in offenders.items() if attrs} == {}
-    assert _kernel_state_stores(SRC / "fmap.py") == ["chains", "dart_set"]
+    assert _kernel_state_stores(SRC / "fmap.py") == ["chains"]
 
 
 def _random_private_reads(path: Path, private: set[str]) -> list[str]:

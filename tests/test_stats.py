@@ -281,7 +281,8 @@ class TestIncrementalMap:
 
         def snapshot():
             return (set(inc.dart_set),
-                    [(dict(c.succ), dict(c.pred), dict(c.end)) for c in inc.chains],
+                    [(dict(c.succ), dict(c.closed_succ), dict(c.closed_pred))
+                     for c in inc.chains],
                     dict(inc.face_next), inc.n_faces, inc.n_components,
                     dict(inc.components), inc.term())
 

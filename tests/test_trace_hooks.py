@@ -52,8 +52,8 @@ def test_tracer_counts_a_sweep_and_restores_hmap():
 
 
 def test_tracer_sees_every_link_attempt_of_the_generator():
-    # an attempt is one IncrementalMap.can_link; a generator that skipped
-    # it would read an accept ratio of 0 or 1
+    # an attempt is one IncrementalMap.link_violation; a generator that
+    # skipped it would read an accept ratio of 0 or 1
     tracer = Tracer()
     tracer.install()
     try:

@@ -17,8 +17,8 @@ The output has the shape of the ``BENCH_*.json`` files at the root of
 the repository: ``runs`` holds every run with the last JSON line it
 printed as ``result``, and ``trace_<workload>`` one traced run per side.
 The file is rewritten after every run, so an interrupted session keeps
-the pairs it finished.  A table of medians, quartiles and pairs won goes
-to standard output at the end.
+the pairs it finished.  A table of medians, quartiles, pairs won and a
+verdict on each metric's ``bound`` goes to standard output at the end.
 """
 
 from __future__ import annotations
@@ -67,12 +67,28 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def _verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
+    """``worse than bound`` when the change's median is worse than the
+    parent's by more than ``bound``, a fraction of the parent's median;
+    else ``unresolved`` when the parent's interquartile spread exceeds
+    that fraction and not every change run beats every parent run; else
+    ``ok``."""
+    (pq1, pm, pq3), cm = _quartiles(parent), statistics.median(change)
+    if (cm - pm if lower else pm - cm) > bound * pm:
+        return "worse than bound"
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if pq3 - pq1 > bound * pm and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def summary(record: dict, bench: dict) -> list[str]:
     """One line per workload and end-to-end metric: each side's median
-    and quartiles, the change of the median, and the pairs the change won;
-    then per workload the failed ops and the incorrect runs of each side."""
+    and quartiles, the change of the median, the pairs the change won and
+    the verdict on the metric's bound; then per workload the failed ops
+    and the incorrect runs of each side."""
     lines = []
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    better = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
     for w in dict.fromkeys(r["workload"] for r in record["runs"]):
         pairs: dict[int, dict[str, dict]] = {}
         for r in record["runs"]:
@@ -81,7 +97,7 @@ def summary(record: dict, bench: dict) -> list[str]:
         full = [p for p in pairs.values() if len(p) == 2]
         if not full:
             continue
-        for name, sign in better.items():
+        for name, (sign, bound) in better.items():
             vals = {s: [p[s]["metrics"][name]["value"] for p in full] for s in SIDES}
             (pq1, pm, pq3), (cq1, cm, cq3) = (_quartiles(vals[s]) for s in SIDES)
             wins = sum((c < p) if sign == "lower" else (c > p)
@@ -89,7 +105,8 @@ def summary(record: dict, bench: dict) -> list[str]:
             lines.append(
                 f"{w:9s} {name:11s} parent {pm:.4g} [{pq1:.4g}, {pq3:.4g}]  "
                 f"change {cm:.4g} [{cq1:.4g}, {cq3:.4g}]  "
-                f"{(cm - pm) / pm:+.1%}  won {wins}/{len(full)}")
+                f"{(cm - pm) / pm:+.1%}  won {wins}/{len(full)}  "
+                f"{_verdict(vals['parent'], vals['change'], sign == 'lower', bound)}")
         failed = {s: sum(p[s]["failed"] for p in full) for s in SIDES}
         attempted = {s: sum(p[s]["attempted"] for p in full) for s in SIDES}
         lines.append(f"{w:9s} failed      parent {failed['parent']}/{attempted['parent']}  "
