@@ -417,13 +417,15 @@ class ChainKernel:
         self.chains = (ChainTracker(0), ChainTracker(1))
         c0, c1 = self.chains
         zero, one = Dim.zero, Dim.one  # identity tests, not Dim.value reads
+        # bound once: a replay makes one of these calls per step
+        add_dart, link0, link1 = self.add_dart, c0.link, c1.link
         for node in history(m):
             if isinstance(node, Insert):
-                self.add_dart(node.x)
+                add_dart(node.x)
             elif node.k is zero:
-                c0.link(node.x, node.y)
+                link0(node.x, node.y)
             elif node.k is one:
-                c1.link(node.x, node.y)
+                link1(node.x, node.y)
             else:
                 raise TypeError(f"not a dimension: {node.k!r}")
 
@@ -506,8 +508,8 @@ class ChainKernel:
         reason = self.insert_violation(x)
         if reason is not None:
             raise ConstraintError(f"insert {x}: {reason}")
-        for ch in self.chains:
-            ch.closed_succ[x] = ch.closed_pred[x] = x
+        c0, c1 = self.chains
+        c0.closed_succ[x] = c0.closed_pred[x] = c1.closed_succ[x] = c1.closed_pred[x] = x
 
     def _adopt(self, kernel: "ChainKernel") -> None:
         """Take the chains of ``kernel`` as this kernel's own: shared,
