@@ -88,7 +88,7 @@ def summary(record: dict, bench: dict) -> list[str]:
     the verdict on the metric's bound; then per workload the failed ops
     and the incorrect runs of each side."""
     lines = []
-    better = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
+    rules = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
     for w in dict.fromkeys(r["workload"] for r in record["runs"]):
         pairs: dict[int, dict[str, dict]] = {}
         for r in record["runs"]:
@@ -97,7 +97,7 @@ def summary(record: dict, bench: dict) -> list[str]:
         full = [p for p in pairs.values() if len(p) == 2]
         if not full:
             continue
-        for name, (sign, bound) in better.items():
+        for name, (sign, bound) in rules.items():
             vals = {s: [p[s]["metrics"][name]["value"] for p in full] for s in SIDES}
             (pq1, pm, pq3), (cq1, cm, cq3) = (_quartiles(vals[s]) for s in SIDES)
             wins = sum((c < p) if sign == "lower" else (c > p)
