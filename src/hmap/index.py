@@ -45,6 +45,20 @@ class MapStats:
     genus: int
     planar: bool
 
+    # Each slot is written through its descriptor, as in ``Insert``: the
+    # generated __init__'s object.__setattr__ took a fifth of an index build.
+    def __init__(self, n_darts: int, n_edges: int, n_vertices: int, n_faces: int,
+                 n_components: int, euler_characteristic: int, genus: int,
+                 planar: bool) -> None:
+        _STATS_ND(self, n_darts)
+        _STATS_NE(self, n_edges)
+        _STATS_NV(self, n_vertices)
+        _STATS_NF(self, n_faces)
+        _STATS_NC(self, n_components)
+        _STATS_EC(self, euler_characteristic)
+        _STATS_G(self, genus)
+        _STATS_P(self, planar)
+
     @classmethod
     def from_counts(cls, nd: int, ne: int, nv: int, nf: int, nc: int) -> "MapStats":
         ec = nv + ne + nf - nd
@@ -54,6 +68,12 @@ class MapStats:
                 f"nd={nd} ne={ne} nv={nv} nf={nf}")
         genus = nc - ec // 2
         return cls(nd, ne, nv, nf, nc, ec, genus, genus == 0)
+
+
+_STATS_ND, _STATS_NE, _STATS_NV, _STATS_NF, _STATS_NC, _STATS_EC, _STATS_G, _STATS_P = (
+    MapStats.n_darts.__set__, MapStats.n_edges.__set__, MapStats.n_vertices.__set__,
+    MapStats.n_faces.__set__, MapStats.n_components.__set__,
+    MapStats.euler_characteristic.__set__, MapStats.genus.__set__, MapStats.planar.__set__)
 
 
 def _cycle(perm: dict[Dart, Dart], z: Dart) -> list[Dart]:
@@ -74,28 +94,6 @@ def _cycle(perm: dict[Dart, Dart], z: Dart) -> list[Dart]:
     return cycle
 
 
-def _orbit_ids(starts: list[Dart], *maps: dict[Dart, Dart]) -> dict[Dart, Dart]:
-    """Label each dart reached from ``starts`` along the images under
-    ``maps`` (a dart a map does not hold has no image there) with the
-    first start that reaches it: under permutations that is the start's
-    orbit, since every permutation of a finite set has finite order, and
-    under both directions of the explicit links its component.
-    """
-    ids: dict[Dart, Dart] = {}
-    for d in starts:
-        if d in ids:
-            continue
-        ids[d] = d
-        todo = [d]
-        for z in todo:
-            for perm in maps:
-                w = perm.get(z)
-                if w is not None and w not in ids:
-                    ids[w] = d
-                    todo.append(w)
-    return ids
-
-
 def _same(ids: dict[Dart, Dart], a: Dart, b: Dart) -> bool:
     """True when ``ids`` gives both darts one label; false if either is absent."""
     ia = ids.get(a)
@@ -104,9 +102,17 @@ def _same(ids: dict[Dart, Dart], a: Dart, b: Dart) -> bool:
 
 def _chain_ids(ch: ChainTracker) -> dict[Dart, Dart]:
     """Label each dart with the bottom of its open chain, walking every
-    chain along ``succ`` from its bottom, the closed successor of its top."""
+    chain along ``succ`` from its bottom, ``closed_succ`` of its top."""
     cs, succ = ch.closed_succ, ch.succ
-    return _orbit_ids([cs[d] for d in cs if d not in succ], succ)
+    ids: dict[Dart, Dart] = {}
+    for top in cs:
+        if top not in succ:
+            z = bottom = cs[top]
+            while z != top:
+                ids[z] = bottom
+                z = succ[z]
+            ids[top] = bottom
+    return ids
 
 
 class HypermapIndex(ChainKernel):
@@ -122,10 +128,13 @@ class HypermapIndex(ChainKernel):
     dimension ``k``: the kernel's own dict, shared and not copied, so
     it is read-only.
     Built with it are what ``stats`` counts: the sorted ``darts``,
-    ``face_perm`` as a permutation dict, and the labellings ``face_ids``
-    and ``component_ids``, which map each dart to its orbit's minimum
-    dart.  Built on first read are the labellings ``edge_ids`` and
-    ``vertex_ids``, which map each dart to the bottom of its open chain.
+    ``face_perm`` as a permutation dict, and the labellings ``face_ids``,
+    by one cycle walk of ``face_perm`` per face, and ``component_ids``,
+    by one walk of both closures per component; each walk starts from
+    the least dart of its orbit, which labels the orbit, and counts it.
+    Built on first read are ``edge_ids`` and ``vertex_ids``, which label
+    each dart with the bottom of its open chain, by a walk of the
+    chain's explicit links from that bottom.
     """
 
     __slots__ = (
@@ -141,16 +150,32 @@ class HypermapIndex(ChainKernel):
 
         self.term = m
         self.darts = tuple(darts)
-        self.closure = (ch0.closed_succ, ch1.closed_succ)
-        self.face_perm = {d: cp1[cp0[d]] for d in darts}
-        self.face_ids = _orbit_ids(darts, self.face_perm)
-        # the two closures generate the components
-        self.component_ids = _orbit_ids(darts, *self.closure)
+        cs0, cs1 = self.closure = (ch0.closed_succ, ch1.closed_succ)
+        self.face_perm = face_perm = {d: cp1[cp0[d]] for d in darts}
+        self.face_ids = face_ids = {}
+        nf = 0
+        for d in darts:
+            z = d
+            nf += z not in face_ids
+            while z not in face_ids:
+                face_ids[z] = d
+                z = face_perm[z]
+        # the two closures generate the components: walk each 0-cycle
+        # reached, queueing the 1-image of every dart on it
+        self.component_ids = comp_ids = {}
+        nc = 0
+        for d in darts:
+            if d not in comp_ids:
+                nc += 1
+                todo = [d]
+                for z in todo:
+                    while z not in comp_ids:
+                        comp_ids[z] = d
+                        todo.append(cs1[z])
+                        z = cs0[z]
         # each k-link joins two open k-chains: one edge or vertex fewer
         nd = len(darts)
-        self.stats = MapStats.from_counts(nd, nd - len(ch0.succ), nd - len(ch1.succ),
-                                          len(set(self.face_ids.values())),
-                                          len(set(self.component_ids.values())))
+        self.stats = MapStats.from_counts(nd, nd - len(ch0.succ), nd - len(ch1.succ), nf, nc)
 
     @cached_property
     def edge_ids(self) -> dict[Dart, Dart]:

@@ -286,15 +286,20 @@ def _ring_search(idx: HypermapIndex, max_len: int,
     edge orbits.  ``order`` permutes each list the search explores, in
     place, before it is explored.  The search is one loop over a stack
     of iterators, one per face on the path, so a long ring costs no
-    nested generators and no recursion."""
+    nested generators and no recursion.  After the singletons it stops
+    unless two edge orbits or more join two different faces, as a ring
+    of L >= 2 items crosses L distinct such edges; it stops before any
+    other ``order`` call, so a shuffle draws the same up to each ring."""
     conns = _connectors(idx)
     order(conns)
-    if max_len >= 1:
-        for x, _edge, fy, f0 in conns:
-            if fy == f0:
-                yield (RingItem(x, True),)
-                yield (RingItem(x, False),)
-    if max_len < 2:
+    crossing: set[Dart] = set()
+    for x, edge, fy, f0 in conns:
+        if fy != f0:
+            crossing.add(edge)
+        elif max_len >= 1:
+            yield (RingItem(x, True),)
+            yield (RingItem(x, False),)
+    if max_len < 2 or len(crossing) < 2:
         return
 
     # each face's options: (edge id, the item that crosses it, the face beyond)
@@ -495,10 +500,10 @@ def _path_systems(darts: Sequence[Dart]) -> Iterator[dict[Dart, Dart]]:
         yield {x: y for chain in chains for x, y in zip(chain, chain[1:])}
 
 
-def _linked(m: FreeMap, k: Dim, system: dict[Dart, Dart]) -> FreeMap:
-    """``m`` with the links of ``system`` at dimension ``k``, by source."""
-    for x in sorted(system):
-        m = Link(m, k, x, system[x])
+def _linked(m: FreeMap, k: Dim, links: list[tuple[Dart, Dart]]) -> FreeMap:
+    """``m`` with the links ``(x, y)`` at dimension ``k``, in list order."""
+    for x, y in links:
+        m = Link(m, k, x, y)
     return m
 
 
@@ -516,7 +521,7 @@ def _maps(max_darts: int) -> Iterator[tuple[FreeMap, ChainKernel, ChainKernel]]:
         base: FreeMap = Void()
         for d in range(1, n + 1):
             base = Insert(base, d)
-        systems = list(_path_systems(range(1, n + 1)))
+        systems = [sorted(s.items()) for s in _path_systems(range(1, n + 1))]
         ones = [ChainKernel(_linked(base, _ONE, s1)) for s1 in systems]
         for s0 in systems:
             m0 = _linked(base, _ZERO, s0)

@@ -1,6 +1,8 @@
 """The one-pass index and the incremental builder must agree with the
 recursive observers everywhere."""
 
+import dataclasses
+import inspect
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from hmap import (
     IncrementalMap,
     Insert,
     MapError,
+    MapStats,
     Void,
     bottom,
     break_ring,
@@ -30,7 +33,7 @@ from hmap import (
 )
 from hmap import fmap, jordan
 from hmap.fmap import history, kernel_of
-from hmap.index import _orbit_ids, count_components
+from hmap.index import count_components
 from hmap.jordan import enumerate_maps, random_map, random_planar_map
 
 d0 = Dim.zero
@@ -139,6 +142,35 @@ def test_odd_characteristic_is_internal_error():
         MapStats.from_counts(nd=1, ne=1, nv=1, nf=0, nc=1)
 
 
+def test_map_stats_is_frozen_and_built_from_its_fields():
+    # MapStats writes its slots itself, not through the dataclass-generated
+    # __init__; it must build the same record, so it takes every field in
+    # order, none has a default or a post-init step
+    st = MapStats.from_counts(nd=4, ne=2, nv=3, nf=1, nc=1)
+    fields = dataclasses.fields(st)
+    names = [f.name for f in fields]
+    params = inspect.signature(MapStats.__init__).parameters
+    assert list(params) == ["self", *names]
+    assert all(f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING for f in fields)
+    assert not hasattr(MapStats, "__post_init__")
+    values = [getattr(st, f) for f in names]
+    assert values == [4, 2, 3, 1, 1, 2, 0, True]
+    assert repr(st) == ("MapStats(n_darts=4, n_edges=2, n_vertices=3, n_faces=1, "
+                        "n_components=1, euler_characteristic=2, genus=0, planar=True)")
+    copy = MapStats(**dict(zip(names, values)))
+    assert MapStats(*values) == st == copy and hash(copy) == hash(st)
+    assert MapStats(*values[:-1], False) != st
+    assert dataclasses.replace(st, n_faces=3).n_faces == 3 and st.n_faces == 1
+    for f, v in zip(names, values):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(st, f, v)
+    with pytest.raises(TypeError):
+        MapStats(*values, 1)
+    with pytest.raises(TypeError):
+        MapStats(*values[:-1])
+
+
 def test_count_components_matches_index_on_all_small_maps():
     for m in enumerate_maps(4):
         assert count_components(m) == build_index(m).stats.n_components, m
@@ -211,6 +243,29 @@ def _assert_kernel_matches_walk(kern, m):
         assert all(cs[x] == y for x, y in ch.succ.items()), m
         bottoms = set(darts) - set(succ.values())
         assert all(cs[d] in bottoms for d in darts if d not in succ), m
+
+
+def _orbit_ids(starts, *maps):
+    """Label each dart reached from ``starts`` along the images under
+    ``maps`` (a dart a map does not hold has no image there) with the
+    first start that reaches it: under permutations that is the start's
+    orbit, since every permutation of a finite set has finite order, and
+    under both directions of the explicit links its component.  A
+    reference for the index's labels, which share no code with it.
+    """
+    ids = {}
+    for d in starts:
+        if d in ids:
+            continue
+        ids[d] = d
+        todo = [d]
+        for z in todo:
+            for perm in maps:
+                w = perm.get(z)
+                if w is not None and w not in ids:
+                    ids[w] = d
+                    todo.append(w)
+    return ids
 
 
 def _eager_views(m):

@@ -1,6 +1,7 @@
 """Ring-break law, its two lemmas, generators, search, fuzz, enumeration."""
 
 import hashlib
+import itertools
 import random
 from collections import Counter
 from types import SimpleNamespace
@@ -241,6 +242,27 @@ class TestFindRing:
         if ring is not None:
             assert check_ring(m, ring).valid
             assert jordan_check(m, ring).passed
+
+
+class TestRingSearchOracle:
+    """The search against brute force: every item sequence of 1 to 3
+    items over the 0-linked darts, with both flags, that ``check_ring``
+    accepts.  Non-planar maps are searched too; a map of at most 4 darts
+    holds no ring of 3 items, so the third length checks that none is
+    made up."""
+
+    def test_search_yields_exactly_the_valid_sequences_on_all_small_maps(self):
+        rings = 0
+        for m in enumerate_maps(4):
+            idx = build_index(m)
+            items = [RingItem(x, flag) for x in sorted(idx.chains[0].succ)
+                     for flag in (True, False)]
+            want = {ring for n in (1, 2, 3) for ring in itertools.product(items, repeat=n)
+                    if check_ring(idx, ring).valid}
+            got = list(candidate_rings(idx, 3))
+            assert len(got) == len(set(got)) and set(got) == want, m
+            rings += len(got)
+        assert rings == 11_128
 
 
 def _ring_text(ring) -> str:
