@@ -83,7 +83,7 @@ def break_disconnects(m: FreeMap | HypermapIndex, x: Dart) -> bool:
     """
     idx = ensure_index(m)
     _require(idx.stats.planar, "map is not planar")
-    y = idx.successor(Dim.zero, x)
-    _require(y != 0, f"dart {x} has no 0-successor")
-    x0 = idx.bottom(Dim.zero, x)
-    return idx.same_face(y, x0)
+    link = idx.double_links.get(x)
+    _require(link is not None, f"dart {x} has no 0-successor")
+    _edge, fy, f0 = link
+    return fy == f0

@@ -15,9 +15,10 @@ two darts of each.  The kernel answers the observers below, except
 ``top`` and ``bottom``, in constant time.  Its checked construction is
 the well-formedness check, and the kernel of ``kernel_of`` that an
 index adopts.  A dimension's link rule reads only that dimension's
-chains and the dart set, so the sweep joins two checked one-dimension
-replays that many maps share (``_join_kernels``).  The observers here
-walk the term and stay the reference semantics.
+chains and the dart set, so the exhaustive sweep hands an index the
+0-tracker and the 1-tracker of two checked one-dimension replays that
+many maps share.  The observers here walk the term and stay the
+reference semantics.
 
 Observers are total: queries about the reserved nil dart or about darts
 that were never inserted answer nil (or False) instead of raising.
@@ -402,13 +403,13 @@ class ChainKernel:
     ``ChainKernel(m)`` replays the steps of ``m`` in construction order,
     in linear time.  Every step is checked: the first whose precondition
     fails raises ConstraintError naming it, so the constructor is the
-    well-formedness check.  The one other way a kernel is made is
-    ``_join_kernels``, from two kernels that replayed the inserts and
-    the links of one dimension each; so a kernel exists only for a
-    well-formed term either way.  :class:`hmap.index.HypermapIndex` is
-    orbit labels on a kernel made either way, whose state it adopts;
-    :class:`hmap.stats.IncrementalMap` an empty kernel that keeps its
-    counts current.
+    well-formedness check.  :class:`hmap.index.HypermapIndex` is orbit
+    labels on a kernel that adopts the trackers of such a replay: of its
+    whole term, or, in the exhaustive sweep, the 0-tracker of a replay
+    of its inserts and 0-links and the 1-tracker of one of its inserts
+    and 1-links, which a dimension's link rule cannot tell apart from
+    the trackers of the whole replay.  :class:`hmap.stats.IncrementalMap`
+    is an empty kernel that keeps its counts current.
     """
 
     __slots__ = ("chains",)
@@ -511,37 +512,11 @@ class ChainKernel:
         c0, c1 = self.chains
         c0.closed_succ[x] = c0.closed_pred[x] = c1.closed_succ[x] = c1.closed_pred[x] = x
 
-    def _adopt(self, kernel: "ChainKernel") -> None:
-        """Take the chains of ``kernel`` as this kernel's own: shared,
-        not copied, so neither kernel may change afterwards."""
-        self.chains = kernel.chains
-
-
-def _join_kernels(zero: ChainKernel, one: ChainKernel) -> ChainKernel:
-    """The kernel of a term whose 0-links are those of ``zero`` and
-    whose 1-links are those of ``one``, over their one dart set.
-
-    Each of the two is the checked replay of the inserts and the links
-    of one dimension.  A dimension's link rule reads only that
-    dimension's chains and the dart set, so the term of the inserts,
-    the 0-links and the 1-links replays cleanly exactly when both did,
-    and its kernel has ``zero``'s chains at 0 and ``one``'s at 1.  The
-    joined kernel shares those two trackers, closures included, so none
-    of the three may change afterwards.  ConstraintError when the
-    dart sets differ, or when either carries a link of the other
-    dimension.
-    """
-    if zero.dart_set != one.dart_set:
-        raise ConstraintError(
-            f"join: dart sets differ: {sorted(zero.dart_set ^ one.dart_set)} "
-            f"in one kernel only")
-    for k, kernel in ((1, zero), (0, one)):
-        if kernel.chains[k].succ:
-            raise ConstraintError(
-                f"join: the dimension-{1 - k} kernel carries {k}-links")
-    joined = ChainKernel.__new__(ChainKernel)
-    joined.chains = (zero.chains[0], one.chains[1])
-    return joined
+    def _adopt(self, chains: tuple[ChainTracker, ChainTracker]) -> None:
+        """Take ``chains``, a 0-tracker and a 1-tracker over one dart
+        set, as this kernel's own: shared, not copied, so no holder of
+        them may change them afterwards."""
+        self.chains = chains
 
 
 def kernel_of(m: FreeMap) -> ChainKernel:

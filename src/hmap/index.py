@@ -2,13 +2,14 @@
 
 The recursive observers in :mod:`hmap.fmap` walk the term on every query,
 which is the right reference semantics but quadratic in bulk use.  A
-:class:`HypermapIndex` is a chain kernel that adopts the state of the
-kernel of its term: ``kernel_of``'s one checked replay, or, in the
-exhaustive sweep, a kernel joined of two one-dimension replays.  The
-kernel holds the explicit links and the closure permutations of both
-dimensions with their inverses.  To them the index adds the face
-permutation and the face and component partitions, and on first read
-the edge and vertex partitions, answering all further queries in O(1).
+:class:`HypermapIndex` is a chain kernel that adopts the two trackers
+of its term: those of ``kernel_of``'s one checked replay, or, in the
+exhaustive sweep, the 0-tracker and the 1-tracker of two checked
+one-dimension replays.  They hold the explicit links and the closure
+permutations of both dimensions with their inverses.  To them the index
+adds the face permutation and the face and component partitions, and on
+first read the edge and vertex partitions and the double-link table,
+answering all further queries in O(1).
 """
 
 from __future__ import annotations
@@ -118,15 +119,15 @@ def _chain_ids(ch: ChainTracker) -> dict[Dart, Dart]:
 class HypermapIndex(ChainKernel):
     """Precomputed views of one well-formed map term.
 
-    The index adopts a kernel of its term, sharing its trackers:
+    The index adopts the trackers of its term, sharing them: those of
     ``kernel_of(m)`` (MapError on a term that is not well formed),
-    unless ``kernel`` is given, the caller's promise that it is the
-    kernel of ``m``'s steps; only the exhaustive sweep gives one, of
-    ``fmap._join_kernels``.  Its chains answer the explicit links, the
-    closures, the face successors and the construction preconditions on
-    the indexed map, and ``closure[k]`` is the closure permutation of
-    dimension ``k``: the kernel's own dict, shared and not copied, so
-    it is read-only.
+    unless ``chains`` is given, the caller's promise that it is the
+    0-tracker and the 1-tracker of checked replays of ``m``'s steps;
+    only the exhaustive sweep gives them.  Its chains answer the
+    explicit links, the closures, the face successors and the
+    construction preconditions on the indexed map, and ``closure[k]`` is
+    the closure permutation of dimension ``k``: the tracker's own dict,
+    shared and not copied, so it is read-only.
     Built with it are what ``stats`` counts: the sorted ``darts``,
     ``face_perm`` as a permutation dict, and the labellings ``face_ids``,
     by one cycle walk of ``face_perm`` per face, and ``component_ids``,
@@ -134,7 +135,8 @@ class HypermapIndex(ChainKernel):
     the least dart of its orbit, which labels the orbit, and counts it.
     Built on first read are ``edge_ids`` and ``vertex_ids``, which label
     each dart with the bottom of its open chain, by a walk of the
-    chain's explicit links from that bottom.
+    chain's explicit links from that bottom, and ``double_links``, the
+    one table every ring question reads.
     """
 
     __slots__ = (
@@ -142,8 +144,9 @@ class HypermapIndex(ChainKernel):
         "__dict__",
     )
 
-    def __init__(self, m: FreeMap, *, kernel: ChainKernel | None = None) -> None:
-        self._adopt(kernel_of(m) if kernel is None else kernel)
+    def __init__(self, m: FreeMap, *,
+                 chains: tuple[ChainTracker, ChainTracker] | None = None) -> None:
+        self._adopt(kernel_of(m).chains if chains is None else chains)
         ch0, ch1 = self.chains
         cp0, cp1 = ch0.closed_pred, ch1.closed_pred
         darts = sorted(ch0.closed_succ)
@@ -184,6 +187,17 @@ class HypermapIndex(ChainKernel):
     @cached_property
     def vertex_ids(self) -> dict[Dart, Dart]:
         return _chain_ids(self.chains[1])
+
+    @cached_property
+    def double_links(self) -> dict[Dart, tuple[Dart, Dart, Dart]]:
+        """For each dart ``x`` with a 0-link ``x -> y``, in link order:
+        the edge, that is the bottom ``x0`` of ``x``'s open 0-chain, then
+        the face of ``y`` and the face of ``x0``, the two faces the
+        double-link borders.  The bottoms come from a walk of their own,
+        so a ring search does not also build ``edge_ids``."""
+        bottoms, face_ids = _chain_ids(self.chains[0]), self.face_ids
+        return {x: (bottoms[x], face_ids[y], face_ids[bottoms[x]])
+                for x, y in self.chains[0].succ.items()}
 
     # -- chain ends, from the labels -------------------------------------------
 

@@ -23,14 +23,15 @@ from .fmap import (
     _ZERO,
     NIL,
     ChainKernel,
+    ChainTracker,
     ConstraintError,
     Dart,
     Dim,
     FreeMap,
     Insert,
     Link,
+    MapError,
     Void,
-    _join_kernels,
 )
 from .index import (
     HypermapIndex,
@@ -241,14 +242,6 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
 # ring discovery
 
 
-def _connectors(idx: HypermapIndex) -> list[tuple[Dart, Dart, Dart, Dart]]:
-    """(dart, edge id, face of link target, face of chain bottom) for
-    every dart carrying an explicit 0-link; the edge id is the bottom."""
-    edge_ids, face_ids = idx.edge_ids, idx.face_ids
-    return [(x, edge_ids[x], face_ids[y], face_ids[edge_ids[x]])
-            for x, y in idx.chains[0].succ.items()]
-
-
 def find_ring(m: FreeMap | HypermapIndex, max_len: int,
               seed: int) -> list[RingItem] | None:
     """Search for a valid ring of at most ``max_len`` items.
@@ -290,10 +283,10 @@ def _ring_search(idx: HypermapIndex, max_len: int,
     unless two edge orbits or more join two different faces, as a ring
     of L >= 2 items crosses L distinct such edges; it stops before any
     other ``order`` call, so a shuffle draws the same up to each ring."""
-    conns = _connectors(idx)
+    conns = list(idx.double_links.items())
     order(conns)
     crossing: set[Dart] = set()
-    for x, edge, fy, f0 in conns:
+    for x, (edge, fy, f0) in conns:
         if fy != f0:
             crossing.add(edge)
         elif max_len >= 1:
@@ -304,7 +297,7 @@ def _ring_search(idx: HypermapIndex, max_len: int,
 
     # each face's options: (edge id, the item that crosses it, the face beyond)
     by_face: dict[Dart, list[tuple[Dart, RingItem, Dart]]] = {}
-    for x, edge, fy, f0 in conns:
+    for x, (edge, fy, f0) in conns:
         if fy == f0:
             continue
         by_face.setdefault(fy, []).append((edge, RingItem(x, True), f0))
@@ -392,14 +385,20 @@ class FuzzReport:
 
 def persist_witness(directory: str | os.PathLike, name: str,
                     m: FreeMap, items: RingList) -> tuple[str, str]:
-    """Write a (map, ring) pair for replay; returns the two file paths."""
+    """Write a (map, ring) pair for replay; returns the two file paths.
+    MapError, naming the witness, when ``directory`` cannot be made or
+    written."""
     from .io import serialize_map, serialize_ring
     d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
     map_path = d / f"{name}.map"
     ring_path = d / f"{name}.ring"
-    map_path.write_text(serialize_map(m), encoding="utf-8")
-    ring_path.write_text(serialize_ring(items), encoding="utf-8")
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+        map_path.write_text(serialize_map(m), encoding="utf-8")
+        ring_path.write_text(serialize_ring(items), encoding="utf-8")
+    except OSError as exc:
+        raise MapError(f"cannot write witness {name} in {d}: "
+                       f"{exc.strerror or exc}") from exc
     return str(map_path), str(ring_path)
 
 
@@ -507,27 +506,31 @@ def _linked(m: FreeMap, k: Dim, links: list[tuple[Dart, Dart]]) -> FreeMap:
     return m
 
 
-def _maps(max_darts: int) -> Iterator[tuple[FreeMap, ChainKernel, ChainKernel]]:
+def _maps(max_darts: int) -> Iterator[tuple[FreeMap, tuple[ChainTracker, ChainTracker]]]:
     """Every map of :func:`enumerate_maps`, in its order, with the
-    kernel of its inserts and 0-links and that of its inserts and
-    1-links, which ``_join_kernels`` joins into the map's kernel.
+    chains its index adopts: the 0-tracker of the checked replay of its
+    inserts and 0-links, and the 1-tracker of that of its inserts and
+    1-links.
 
     On ``n`` darts a map is the inserts of 1..n, the 0-links of one link
     system and the 1-links of one, so ``s`` systems make ``s * s`` maps
-    from ``2 * s`` checked replays, one per system and dimension.  Maps
-    share these kernels, so none may change.
+    from ``2 * s`` checked replays, one per system and dimension.  A
+    dimension's link rule reads only that dimension's chains and the
+    dart set, which every replay here shares, so the whole term replays
+    cleanly and its trackers equal this pair.  Maps share the trackers,
+    so none may change.
     """
     for n in range(max_darts + 1):
         base: FreeMap = Void()
         for d in range(1, n + 1):
             base = Insert(base, d)
         systems = [sorted(s.items()) for s in _path_systems(range(1, n + 1))]
-        ones = [ChainKernel(_linked(base, _ONE, s1)) for s1 in systems]
+        ones = [ChainKernel(_linked(base, _ONE, s1)).chains[1] for s1 in systems]
         for s0 in systems:
             m0 = _linked(base, _ZERO, s0)
-            zero = ChainKernel(m0)
+            zero = ChainKernel(m0).chains[0]
             for s1, one in zip(systems, ones):
-                yield _linked(m0, _ONE, s1), zero, one
+                yield _linked(m0, _ONE, s1), (zero, one)
 
 
 def enumerate_maps(max_darts: int) -> Iterator[FreeMap]:
@@ -538,7 +541,7 @@ def enumerate_maps(max_darts: int) -> Iterator[FreeMap]:
     one construction order per link structure cover all behaviors the
     observers can distinguish.
     """
-    for m, _, _ in _maps(max_darts):
+    for m, _ in _maps(max_darts):
         yield m
 
 
@@ -573,7 +576,7 @@ def exhaustive_jordan(max_darts: int, max_ring_len: int) -> ExhaustiveReport:
     Maps of at most 5 darts hold rings of 1 and 2 items only (247,400
     and 40,704 of them), so there a cap of 3 or more never binds.
 
-    Each map's index adopts the join of its two one-dimension kernels
+    Each map's index adopts the trackers of two one-dimension replays
     (see ``_maps``) instead of replaying the map; these indexes share
     their trackers and stay inside this function.
     """
@@ -583,9 +586,9 @@ def exhaustive_jordan(max_darts: int, max_ring_len: int) -> ExhaustiveReport:
         raise ConstraintError(f"ring length {max_ring_len} is below 1")
     report = ExhaustiveReport()
     by_length = report.rings_by_length
-    for m, zero, one in _maps(max_darts):
+    for m, chains in _maps(max_darts):
         report.maps_seen += 1
-        idx = HypermapIndex(m, kernel=_join_kernels(zero, one))
+        idx = HypermapIndex(m, chains=chains)
         if not idx.stats.planar:
             continue
         report.planar_maps += 1

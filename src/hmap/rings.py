@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .fmap import _ZERO, NIL, ConstraintError, Dart, Dim, FreeMap, Link, _remove_latest
+from .fmap import _ZERO, ConstraintError, Dart, FreeMap, Link, _remove_latest
 from .index import HypermapIndex, ensure_index
 
 
@@ -36,10 +36,10 @@ def face_anchor(m: FreeMap | HypermapIndex, item: RingItem) -> Dart:
     the item's open 0-chain.  The item dart must carry a 0-link.
     """
     idx = ensure_index(m)
-    y = idx.successor(Dim.zero, item.x)
-    if y == NIL:
+    link = idx.double_links.get(item.x)
+    if link is None:
         raise ConstraintError(f"dart {item.x} has no 0-successor")
-    return y if item.flag else idx.bottom(Dim.zero, item.x)
+    return idx.chains[0].succ[item.x] if item.flag else link[0]
 
 
 def adjacent_faces(m: FreeMap | HypermapIndex, a: RingItem, b: RingItem) -> bool:
@@ -47,7 +47,7 @@ def adjacent_faces(m: FreeMap | HypermapIndex, a: RingItem, b: RingItem) -> bool
     double-link?  Both items must carry 0-links."""
     idx = ensure_index(m)
     for item in (a, b):
-        if idx.successor(Dim.zero, item.x) == NIL:
+        if item.x not in idx.double_links:
             raise ConstraintError(f"dart {item.x} has no 0-successor")
     return check_ring(idx, (a, b)).continuous
 
@@ -99,7 +99,7 @@ def check_ring(m: FreeMap | HypermapIndex, items: RingList) -> RingDiagnostics:
     vacuously on the empty list, which is invalid only for being empty.
     """
     idx = ensure_index(m)
-    succ0, edge_ids, face_ids = idx.chains[0].succ, idx.edge_ids, idx.face_ids
+    links = idx.double_links
     # per item: (identified face, opposite face), None without a 0-link
     sides: list[Sides] = []
     first_edge: dict[Dart, int] = {}
@@ -108,13 +108,12 @@ def check_ring(m: FreeMap | HypermapIndex, items: RingList) -> RingDiagnostics:
     gap: tuple[int, ...] | None = None
     face_clash: tuple[int, ...] | None = None
     for i, item in enumerate(items):
-        y = succ0.get(item.x, NIL)
-        if y == NIL:
+        link = links.get(item.x)
+        if link is None:
             sides.append(None)
             edge_clash = edge_clash or (i,)
         else:
-            x0 = edge_ids[item.x]  # the bottom of the item's 0-chain
-            fy, f0 = face_ids[y], face_ids[x0]
+            x0, fy, f0 = link
             here = (fy, f0) if item.flag else (f0, fy)
             sides.append(here)
             j = first_edge.setdefault(x0, i)

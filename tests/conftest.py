@@ -21,6 +21,28 @@ def build_fixture15() -> FreeMap:
     return m
 
 
+def vertex_chains(*vertices):
+    """The 1-links that lay out each vertex's darts, in the order given,
+    as one open 1-chain."""
+    return [(d1, a, b) for darts in vertices for a, b in zip(darts, darts[1:])]
+
+
+def grid_map(k: int) -> FreeMap:
+    """The k x k grid: each grid edge is two new darts with a 0-link
+    a -> b, and each vertex's darts in E, N, W, S order form one 1-chain."""
+    at = {(i, j): {} for i in range(k) for j in range(k)}
+    links = []
+    for (i, j), here in at.items():
+        for di, dj, out, back in ((1, 0, "E", "W"), (0, 1, "N", "S")):
+            if (i + di, j + dj) in at:
+                a = 2 * len(links) + 1
+                links.append((d0, a, a + 1))
+                here[out], at[i + di, j + dj][back] = a, a + 1
+    return make_map(range(1, 2 * len(links) + 1),
+                    links + vertex_chains(*[[ds[d] for d in "ENWS" if d in ds]
+                                            for ds in at.values()]))
+
+
 def build_two_dart_edge() -> FreeMap:
     # one 0-link between two darts: one edge, two vertices, one face
     return make_map([1, 2], [(d0, 1, 2)])

@@ -11,6 +11,7 @@ from hmap import (
     Dim,
     IncrementalMap,
     Insert,
+    Link,
     MapError,
     MapStats,
     Void,
@@ -35,6 +36,8 @@ from hmap import fmap, jordan
 from hmap.fmap import history, kernel_of
 from hmap.index import count_components
 from hmap.jordan import enumerate_maps, random_map, random_planar_map
+
+from conftest import grid_map
 
 d0 = Dim.zero
 d1 = Dim.one
@@ -329,6 +332,47 @@ def test_every_link_of_an_incremental_build_keeps_the_kernel_invariants():
             _assert_kernel_matches_walk(inc, inc.term())
             links += 1
     assert links > 200
+
+
+def _double_links_oracle(m):
+    """The double-link table from the recursive observers alone, in the
+    order of the 0-links of ``m``: per 0-link ``x -> y``, the bottom
+    ``x0`` of ``x``'s 0-chain and the faces of ``y`` and ``x0``, each
+    face labelled by the least dart of its ``closed_face_successor``
+    cycle."""
+    face = {}
+    for d in sorted(n.x for n in history(m) if isinstance(n, Insert)):
+        z = d
+        while z not in face:
+            face[z] = d
+            z = closed_face_successor(m, z)
+    table = {}
+    for n in history(m):
+        if isinstance(n, Link) and n.k is d0:
+            x0 = bottom(m, d0, n.x)
+            table[n.x] = (x0, face[successor(m, d0, n.x)], face[x0])
+    return table
+
+
+def _assert_double_links_match_oracle(m):
+    got = build_index(m).double_links
+    want = _double_links_oracle(m)
+    assert got == want, m
+    assert list(got) == list(want), m  # link order, which the ring search shuffles
+
+
+def test_double_links_equal_the_observer_oracle_on_all_maps_of_3_darts():
+    for m in enumerate_maps(3):
+        _assert_double_links_match_oracle(m)
+
+
+def test_double_links_equal_the_observer_oracle_on_the_3x3_grid():
+    _assert_double_links_match_oracle(grid_map(3))
+
+
+@pytest.mark.parametrize("seed, n", [(1, 12), (2, 30), (3, 60)])
+def test_double_links_equal_the_observer_oracle_on_planar_maps(seed, n):
+    _assert_double_links_match_oracle(random_planar_map(seed, n, 2 * n))
 
 
 def test_unknown_attribute_still_raises():

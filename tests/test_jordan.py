@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 from collections import Counter
+from functools import cached_property
 from types import SimpleNamespace
 
 import pytest
@@ -37,10 +38,10 @@ from hmap import (
     tail_is_ring_after_first_break,
 )
 from hmap import jordan
-from hmap.fmap import ChainKernel, _join_kernels
+from hmap.cli import run_cli
 from hmap.index import HypermapIndex, count_components
 
-from conftest import build_digon
+from conftest import build_digon, grid_map, vertex_chains
 
 d0 = Dim.zero
 d1 = Dim.one
@@ -340,6 +341,26 @@ class TestWitnessFiles:
         again = jordan_check(m, ring)
         assert again.summary() == jordan_check(digon, DIGON_RING).summary()
 
+    def test_unwritable_directory_is_a_map_error(self, tmp_path, digon):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        with pytest.raises(MapError, match=r"^cannot write witness case in .*file: "):
+            persist_witness(blocker, "case", digon, DIGON_RING)
+
+    def test_cli_fuzz_exits_2_on_an_unwritable_witness_directory(
+            self, monkeypatch, tmp_path, capsys):
+        # every law check fails, so the first ring found is persisted
+        monkeypatch.setattr(jordan, "count_components", lambda m: -1)
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        argv = ["fuzz", "--trials", "5", "--seed", "1", "--size", "8",
+                "--witness-dir", str(blocker)]
+        assert run_cli(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write witness fuzz_0") and err.count("\n") == 1
+        assert err.endswith(f" in {blocker}: File exists\n")
+
     def test_env_var_names_directory(self, monkeypatch, tmp_path):
         from hmap.jordan import _witness_dir
         monkeypatch.setenv("HMAP_WITNESS_DIR", str(tmp_path))
@@ -431,47 +452,33 @@ class TestEnumeration:
         assert not rep.passed
 
 
-class TestJoinedKernels:
-    """The sweep's indexes adopt a kernel joined of two one-dimension
-    replays; each must equal the index of one replay of its whole term."""
+class TestSweepIndexes:
+    """The sweep's indexes adopt the 0-tracker and the 1-tracker of two
+    one-dimension replays; each must equal the index of one replay of
+    its whole term, on every slot and every view built on first read."""
 
-    SLOTS = ("term", "darts", "face_perm", "face_ids", "component_ids", "stats",
-             "closure", "edge_ids", "vertex_ids")
+    SLOTS = tuple(name for name in HypermapIndex.__slots__ if name != "__dict__") + tuple(
+        name for name, attr in vars(HypermapIndex).items() if isinstance(attr, cached_property))
 
-    def test_joined_index_equals_build_index(self):
+    def test_sweep_index_equals_build_index(self):
+        assert {"stats", "edge_ids", "vertex_ids", "double_links"} <= set(self.SLOTS)
         terms = []
-        for m, zero, one in jordan._maps(4):
-            joined = HypermapIndex(m, kernel=_join_kernels(zero, one))
+        for m, chains in jordan._maps(4):
+            swept = HypermapIndex(m, chains=chains)
             built = build_index(m)
+            assert swept.chains is chains
             for slot in self.SLOTS:
-                assert getattr(joined, slot) == getattr(built, slot), (m, slot)
-            assert joined.dart_set == built.dart_set
-            for cj, cb in zip(joined.chains, built.chains):
-                assert ((cj.k, cj.succ, cj.closed_succ, cj.closed_pred)
+                assert getattr(swept, slot) == getattr(built, slot), (m, slot)
+            assert swept.dart_set == built.dart_set
+            for cs, cb in zip(swept.chains, built.chains):
+                assert ((cs.k, cs.succ, cs.closed_succ, cs.closed_pred)
                         == (cb.k, cb.succ, cb.closed_succ, cb.closed_pred)), m
             for k in (d0, d1):
                 for z in built.darts:
-                    assert joined.top(k, z) == built.top(k, z), (m, k, z)
-                    assert joined.bottom(k, z) == built.bottom(k, z), (m, k, z)
+                    assert swept.top(k, z) == built.top(k, z), (m, k, z)
+                    assert swept.bottom(k, z) == built.bottom(k, z), (m, k, z)
             terms.append(m)
         assert terms == list(enumerate_maps(4)) and len(terms) == 5509
-
-    def test_join_refuses_different_dart_sets(self):
-        with pytest.raises(ConstraintError, match=r"dart sets differ: \[3\]"):
-            _join_kernels(ChainKernel(make_map([1, 2])), ChainKernel(make_map([1, 2, 3])))
-
-    @pytest.mark.parametrize("k, blamed", [
-        (d0, "the dimension-1 kernel carries 0-links"),
-        (d1, "the dimension-0 kernel carries 1-links")])
-    def test_join_refuses_links_of_the_other_dimension(self, k, blamed):
-        plain = ChainKernel(make_map([1, 2]))
-        linked = ChainKernel(make_map([1, 2], [(k, 1, 2)]))
-        pair = (plain, linked) if k is d0 else (linked, plain)
-        with pytest.raises(ConstraintError, match=blamed):
-            _join_kernels(*pair)
-        # in its own dimension the link is what the join expects
-        joined = _join_kernels(*pair[::-1])
-        assert joined.successor(k, 1) == 2 and joined.successor(k.other, 1) == 0
 
 
 class TestSwapOracle:
@@ -500,35 +507,13 @@ class TestSwapOracle:
         assert ca0 == broken_idx.closure[0]
 
 
-def _vertex_chains(*vertices):
-    """The 1-links that lay out each vertex's darts, in the order given,
-    as one open 1-chain."""
-    return [(d1, a, b) for darts in vertices for a, b in zip(darts, darts[1:])]
-
-
 def _theta(cut1, cut2):
     """Two vertices joined by three edges: darts 1-6, 0-links 1->2, 3->4
     and 5->6, vertices (1 3 6) and (2 5 4), each cut open after its
     ``cut``-th dart."""
     v1, v2 = (1, 3, 6), (2, 5, 4)
     return make_map(range(1, 7), [(d0, 1, 2), (d0, 3, 4), (d0, 5, 6)]
-                    + _vertex_chains(v1[cut1:] + v1[:cut1], v2[cut2:] + v2[:cut2]))
-
-
-def _grid(k):
-    """The k x k grid: each grid edge is two new darts with a 0-link
-    a -> b, and each vertex's darts in E, N, W, S order form one 1-chain."""
-    at = {(i, j): {} for i in range(k) for j in range(k)}
-    links = []
-    for (i, j), here in at.items():
-        for di, dj, out, back in ((1, 0, "E", "W"), (0, 1, "N", "S")):
-            if (i + di, j + dj) in at:
-                a = 2 * len(links) + 1
-                links.append((d0, a, a + 1))
-                here[out], at[i + di, j + dj][back] = a, a + 1
-    return make_map(range(1, 2 * len(links) + 1),
-                    links + _vertex_chains(*[[ds[d] for d in "ENWS" if d in ds]
-                                             for ds in at.values()]))
+                    + vertex_chains(v1[cut1:] + v1[:cut1], v2[cut2:] + v2[:cut2]))
 
 
 class TestLongRings:
@@ -566,7 +551,7 @@ class TestLongRings:
         (3, {2: 16, 3: 96, 4: 136, 5: 160}),
         (4, {2: 16, 3: 96, 4: 240, 5: 640, 6: 1440})])
     def test_grid_rings_up_to_six(self, k, by_length):
-        m = _grid(k)
+        m = grid_map(k)
         assert counts(m).n_darts == 4 * k * (k - 1) and is_planar(m)
         rings = list(candidate_rings(build_index(m), 6))
         assert Counter(len(r) for r in rings) == by_length

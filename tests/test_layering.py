@@ -9,8 +9,13 @@ index, so no public function has an ``index`` parameter as well.  Every
 replay checks its term, so none has a ``check`` parameter either.
 
 Every kernel's state is made in ``fmap``, by ``ChainKernel``'s
-constructor or, for the exhaustive sweep, by joining two one-dimension
-kernels: no other module assigns a kernel's ``dart_set`` or ``chains``.
+constructor or by ``_adopt``, which hands an index the trackers of such
+constructions (for the exhaustive sweep, of two one-dimension replays):
+no other module assigns a kernel's ``dart_set`` or ``chains``.
+
+Which edge a double-link lies on and which two faces it borders is
+worked out in the index alone, in its ``double_links``: outside
+``index`` and ``orbits`` no module reads ``edge_ids`` or ``face_ids``.
 
 The generators reach ``random.Random`` through its public methods only.
 """
@@ -84,6 +89,24 @@ def test_only_fmap_builds_kernel_state():
                  if p.stem != "fmap"}
     assert {name: attrs for name, attrs in offenders.items() if attrs} == {}
     assert _kernel_state_stores(SRC / "fmap.py") == ["chains"]
+
+
+def _label_reads(path: Path) -> list[str]:
+    labels = {"edge_ids", "face_ids"}
+    reads = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in labels:
+            reads.add(node.attr)
+        elif isinstance(node, ast.Constant) and node.value in labels:
+            reads.add(node.value)  # as in getattr(idx, "face_ids")
+    return sorted(reads)
+
+
+def test_only_index_and_orbits_read_edge_and_face_labels():
+    offenders = {p.name: _label_reads(p) for p in sorted(SRC.glob("*.py"))
+                 if p.stem not in ("index", "orbits")}
+    assert {name: reads for name, reads in offenders.items() if reads} == {}
+    assert _label_reads(SRC / "index.py") == ["edge_ids", "face_ids"]
 
 
 def _random_private_reads(path: Path, private: set[str]) -> list[str]:
