@@ -404,12 +404,14 @@ class ChainKernel:
     in linear time.  Every step is checked: the first whose precondition
     fails raises ConstraintError naming it, so the constructor is the
     well-formedness check.  :class:`hmap.index.HypermapIndex` is orbit
-    labels on a kernel that adopts the trackers of such a replay: of its
-    whole term, or, in the exhaustive sweep, the 0-tracker of a replay
-    of its inserts and 0-links and the 1-tracker of one of its inserts
-    and 1-links, which a dimension's link rule cannot tell apart from
-    the trackers of the whole replay.  :class:`hmap.stats.IncrementalMap`
-    is an empty kernel that keeps its counts current.
+    labels on a kernel that adopts (``_adopt``) the trackers of checked
+    replays: of its whole term, or, in the exhaustive sweep, the
+    0-tracker of a replay of its inserts and 0-links and the 1-tracker
+    of one of its inserts and 1-links, which equal those of the whole
+    replay because a dimension's link rule reads only that dimension's
+    chains and the dart set.  Either way trackers exist only for a
+    well-formed term.  :class:`hmap.stats.IncrementalMap` is an empty
+    kernel that keeps its counts current.
     """
 
     __slots__ = ("chains",)

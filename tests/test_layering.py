@@ -91,32 +91,22 @@ def test_only_fmap_builds_kernel_state():
     assert _kernel_state_stores(SRC / "fmap.py") == ["chains"]
 
 
-def _label_reads(path: Path) -> list[str]:
-    labels = {"edge_ids", "face_ids"}
+def _attribute_reads(path: Path, names: set[str]) -> list[str]:
     reads = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Attribute) and node.attr in labels:
+        if isinstance(node, ast.Attribute) and node.attr in names:
             reads.add(node.attr)
-        elif isinstance(node, ast.Constant) and node.value in labels:
-            reads.add(node.value)  # as in getattr(idx, "face_ids")
+        elif isinstance(node, ast.Constant) and node.value in names:
+            reads.add(node.value)  # as in getattr(rng, "_randbelow")
     return sorted(reads)
 
 
 def test_only_index_and_orbits_read_edge_and_face_labels():
-    offenders = {p.name: _label_reads(p) for p in sorted(SRC.glob("*.py"))
+    labels = {"edge_ids", "face_ids"}
+    offenders = {p.name: _attribute_reads(p, labels) for p in sorted(SRC.glob("*.py"))
                  if p.stem not in ("index", "orbits")}
     assert {name: reads for name, reads in offenders.items() if reads} == {}
-    assert _label_reads(SRC / "index.py") == ["edge_ids", "face_ids"]
-
-
-def _random_private_reads(path: Path, private: set[str]) -> list[str]:
-    reads = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Attribute) and node.attr in private:
-            reads.add(node.attr)
-        elif isinstance(node, ast.Constant) and node.value in private:
-            reads.add(node.value)  # as in getattr(rng, "_randbelow")
-    return sorted(reads)
+    assert _attribute_reads(SRC / "index.py", labels) == ["edge_ids", "face_ids"]
 
 
 def test_generators_use_public_random_api_only():
@@ -125,6 +115,6 @@ def test_generators_use_public_random_api_only():
     private = {name for name in dir(random.Random)
                if name.startswith("_") and not name.endswith("__")}
     assert "_randbelow" in private
-    offenders = {p.name: _random_private_reads(p, private)
+    offenders = {p.name: _attribute_reads(p, private)
                  for p in sorted(SRC.glob("*.py"))}
     assert {name: reads for name, reads in offenders.items() if reads} == {}
