@@ -15,9 +15,10 @@ answering all further queries in O(1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Any, Callable, Collection
 
 from .fmap import (
+    _ZERO,
     NIL,
     ChainKernel,
     ChainTracker,
@@ -116,6 +117,24 @@ def _chain_ids(ch: ChainTracker) -> dict[Dart, Dart]:
     return ids
 
 
+class _lazy_view:
+    """A view built on first read and stored in the instance ``__dict__``,
+    where every later read finds it before this descriptor: what
+    ``functools.cached_property`` does, without the lock it takes on each
+    first read in Python 3.11."""
+
+    def __init__(self, build: Callable[[Any], Any]) -> None:
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        view = obj.__dict__[self.name] = self.build(obj)
+        return view
+
+
 class HypermapIndex(ChainKernel):
     """Precomputed views of one well-formed map term.
 
@@ -180,15 +199,15 @@ class HypermapIndex(ChainKernel):
         nd = len(darts)
         self.stats = MapStats.from_counts(nd, nd - len(ch0.succ), nd - len(ch1.succ), nf, nc)
 
-    @cached_property
+    @_lazy_view
     def edge_ids(self) -> dict[Dart, Dart]:
         return _chain_ids(self.chains[0])
 
-    @cached_property
+    @_lazy_view
     def vertex_ids(self) -> dict[Dart, Dart]:
         return _chain_ids(self.chains[1])
 
-    @cached_property
+    @_lazy_view
     def double_links(self) -> dict[Dart, tuple[Dart, Dart, Dart]]:
         """For each dart ``x`` with a 0-link ``x -> y``, in link order:
         the edge, that is the bottom ``x0`` of ``x``'s open 0-chain, then
@@ -222,21 +241,25 @@ def build_index(m: FreeMap) -> HypermapIndex:
     return HypermapIndex(m)
 
 
-def count_components(m: FreeMap) -> int:
-    """Number of connected components of ``m``, without an index.
+def count_components(m: FreeMap, broken: Collection[Dart] = ()) -> int:
+    """Number of connected components of ``m``, without an index, once
+    the 0-link out of each dart in ``broken`` is left out.
 
     One walk down the ``base`` chain: each insert adds a component and
     each link that joins two removes one, in any order, so the links go
-    into a :mod:`hmap.unionfind` forest from the most recent step.  It
-    does not check the term, so ``m`` must be well formed: use it on a
-    term built from one already checked, as a ring break is.
+    into a :mod:`hmap.unionfind` forest from the most recent step.  A
+    well-formed term has at most one 0-link out of each dart, so leaving
+    out those of ``broken`` counts the map that breaking them gives:
+    for a valid ring, ``count_components(m, {it.x for it in ring})``
+    equals ``count_components(break_ring(m, ring))``, and no broken term
+    is built.  It does not check the term, so ``m`` must be well formed.
     """
     parent: dict[Dart, Dart] = {}
     n = 0
     while not isinstance(m, Void):
         if isinstance(m, Insert):
             n += 1
-        elif _union(parent, m.x, m.y):
+        elif not (m.x in broken and m.k is _ZERO) and _union(parent, m.x, m.y):
             n -= 1
         m = m.base
     return n

@@ -72,6 +72,9 @@ class JordanOutcome:
 def jordan_check(m: FreeMap | HypermapIndex, items: RingList) -> JordanOutcome:
     """Break along the ring and compare component counts.
 
+    The count after the break is one walk of the unbroken term that
+    leaves the ring's 0-links out (``count_components(term, darts)``),
+    so no broken term is built; ``map_term`` is the unbroken term.
     Requires a well-formed planar map and a valid ring; each failed
     precondition is reported by name.
     """
@@ -81,7 +84,7 @@ def jordan_check(m: FreeMap | HypermapIndex, items: RingList) -> JordanOutcome:
     diag = check_ring(idx, items)
     if not diag.valid:
         raise ConstraintError(f"not a valid ring: {diag.summary()}")
-    after = count_components(break_ring(idx.term, items))
+    after = count_components(idx.term, {it.x for it in items})
     return JordanOutcome(idx.stats.n_components, after, idx.term, tuple(items))
 
 
@@ -578,7 +581,9 @@ def exhaustive_jordan(max_darts: int, max_ring_len: int) -> ExhaustiveReport:
 
     Each map's index adopts the trackers of two one-dimension replays
     (see ``_maps``) instead of replaying the map; these indexes share
-    their trackers and stay inside this function.
+    their trackers and stay inside this function.  Each ring's count
+    after the break is one walk of the map's term that leaves the ring's
+    0-links out, as in ``jordan_check``: no broken term is built.
     """
     if max_darts < 0:
         raise ConstraintError(f"dart count {max_darts} is negative")
@@ -599,6 +604,6 @@ def exhaustive_jordan(max_darts: int, max_ring_len: int) -> ExhaustiveReport:
             if not check_ring(idx, ring).valid:
                 report.ring_soundness_failures += 1
                 continue
-            if count_components(break_ring(m, ring)) != nc_before + 1:
+            if count_components(m, {it.x for it in ring}) != nc_before + 1:
                 report.delta_failures += 1
     return report

@@ -1,6 +1,7 @@
 import pytest
 
-from hmap import Dim, FreeMap, link, make_map
+from hmap import Dim, FreeMap, Insert, Link, Void, link, make_map
+from hmap.fmap import history
 
 d0 = Dim.zero
 d1 = Dim.one
@@ -41,6 +42,21 @@ def grid_map(k: int) -> FreeMap:
     return make_map(range(1, 2 * len(links) + 1),
                     links + vertex_chains(*[[ds[d] for d in "ENWS" if d in ds]
                                             for ds in at.values()]))
+
+
+def swap(m: FreeMap) -> FreeMap:
+    """``m`` with every k-link relinked at dimension 1 - k, step for step.
+
+    Its closures are (alpha1, alpha0), and its face permutation
+    alpha0^-1 alpha1^-1 is conjugate to m's alpha1^-1 alpha0^-1: edges and
+    vertices trade places, and faces, components and genus stay."""
+    out: FreeMap = Void()
+    for step in history(m):
+        if isinstance(step, Insert):
+            out = Insert(out, step.x)
+        else:
+            out = Link(out, d0 if step.k is d1 else d1, step.x, step.y)
+    return out
 
 
 def build_two_dart_edge() -> FreeMap:

@@ -194,7 +194,7 @@ def test_sweep_prints_summary_and_ring_lengths(capsys):
 
 def test_sweep_failure_exits_1(monkeypatch, capsys):
     from hmap import jordan
-    monkeypatch.setattr(jordan, "count_components", lambda m: -1)
+    monkeypatch.setattr(jordan, "count_components", lambda m, broken=(): -1)
     assert run_cli(["sweep", "--darts", "3", "--ring-len", "3"]) == 1
     out = capsys.readouterr().out
     assert "delta_failures=136 " in out and "verdict=FAIL" in out

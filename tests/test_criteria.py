@@ -20,6 +20,8 @@ from hmap import (
 )
 from hmap.jordan import enumerate_maps, random_map
 
+from conftest import swap
+
 d0 = Dim.zero
 d1 = Dim.one
 
@@ -132,6 +134,32 @@ class TestExhaustiveSmall:
                 broken = break_link(m, d0, x)
                 want = not same_component(broken, x, y)
                 assert break_disconnects(idx, x) == want
+
+
+class TestDimensionSwap:
+    """Swapping the dimensions is an oracle for the dimension-one branches
+    that is neither the genus nor their own formula."""
+
+    def test_swap_trades_edges_and_vertices(self):
+        n = 0
+        for m in enumerate_maps(4):
+            s, t = build_index(m).stats, build_index(swap(m)).stats
+            assert (t.n_edges, t.n_vertices) == (s.n_vertices, s.n_edges), m
+            assert (t.n_faces, t.n_components, t.genus) == (
+                s.n_faces, s.n_components, s.genus), m
+            assert swap(swap(m)) == m
+            n += 1
+        assert n == 5509
+
+    def test_dimension_one_link_criterion_equals_swapped_zero(self):
+        n = 0
+        for m in enumerate_maps(4):
+            idx, swapped = build_index(m), build_index(swap(m))
+            for x, y in _prec_link_pairs(idx, d1):
+                assert planar_after_link(idx, d1, x, y) == planar_after_link(
+                    swapped, d0, x, y), (m, x, y)
+                n += 1
+        assert n == 11628
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -14,6 +14,7 @@ from hmap import (
     Link,
     MapError,
     MapStats,
+    RingItem,
     Void,
     bottom,
     break_ring,
@@ -32,7 +33,7 @@ from hmap import (
     successor,
     top,
 )
-from hmap import fmap, jordan
+from hmap import fmap, index, jordan
 from hmap.fmap import history, kernel_of
 from hmap.index import count_components
 from hmap.jordan import enumerate_maps, random_map, random_planar_map
@@ -180,17 +181,49 @@ def test_count_components_matches_index_on_all_small_maps():
 
 
 def test_count_components_matches_index_on_every_ring_break_recount(monkeypatch):
-    recounts = []
+    # each sweep recount walks the unbroken term without the ring's
+    # 0-links; it must count the components of the term break_ring builds
+    rings, recounts = [], []
 
-    def checked(m):
-        n = count_components(m)
-        assert n == build_index(m).stats.n_components, m
+    def searched(idx, max_len):
+        for ring in candidate_rings(idx, max_len):
+            rings.append(ring)
+            yield ring
+
+    def checked(m, broken=()):
+        n = count_components(m, broken)
+        ring = rings[-1]
+        assert set(broken) == {it.x for it in ring}, (m, ring)
+        assert n == build_index(break_ring(m, ring)).stats.n_components, (m, ring)
         recounts.append(n)
         return n
 
+    monkeypatch.setattr(jordan, "candidate_rings", searched)
     monkeypatch.setattr(jordan, "count_components", checked)
     report = exhaustive_jordan(4, 3)
-    assert report.passed and 0 < len(recounts) == report.rings_checked
+    assert report.passed and 0 < len(recounts) == len(rings) == report.rings_checked
+
+
+def test_count_components_leaves_out_only_0_links():
+    one = Link(Insert(Insert(Void(), 1), 2), d1, 1, 2)
+    assert count_components(one) == count_components(one, {1}) == 1
+    # dart 1 carries a 0-link to 2 and a 1-link to 3: only the first goes
+    both = Link(Link(Insert(Insert(Insert(Void(), 1), 2), 3), d0, 1, 2), d1, 1, 3)
+    assert count_components(both) == count_components(both, {2, 3}) == 1
+    assert count_components(both, {1}) == 2
+    assert count_components(both, {1}) == count_components(break_ring(both, [RingItem(1, True)]))
+
+
+def test_lazy_views_are_built_on_first_read_only(monkeypatch):
+    idx = build_index(grid_map(3))
+    calls = []
+    real = index._chain_ids
+    monkeypatch.setattr(index, "_chain_ids", lambda ch: calls.append(ch.k) or real(ch))
+    for name in ("edge_ids", "vertex_ids", "double_links"):
+        assert name not in vars(idx)
+        view = getattr(idx, name)
+        assert vars(idx)[name] is view is getattr(idx, name)
+    assert calls == [0, 1, 0]
 
 
 def test_count_components_matches_structural_oracle():
@@ -206,9 +239,12 @@ def test_count_components_matches_structural_oracle():
 def test_count_components_on_large_planar_maps(n):
     m = random_planar_map(n, n, 2 * n)
     assert count_components(m) == build_index(m).stats.n_components
-    ring = next(candidate_rings(build_index(m), 4))
-    broken = break_ring(m, ring)
-    assert count_components(broken) == build_index(broken).stats.n_components
+    rings = candidate_rings(build_index(m), 4)
+    for ring in (next(rings), next(r for r in rings if len(r) >= 2)):
+        broken = break_ring(m, ring)
+        nc = build_index(broken).stats.n_components
+        assert count_components(broken) == nc
+        assert count_components(m, {it.x for it in ring}) == nc, ring
 
 
 def _chain_walk(m):

@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import random
 from collections import Counter
-from functools import cached_property
 from types import SimpleNamespace
 
 import pytest
@@ -39,7 +38,7 @@ from hmap import (
 )
 from hmap import jordan
 from hmap.cli import run_cli
-from hmap.index import HypermapIndex, count_components
+from hmap.index import HypermapIndex, _lazy_view, count_components
 
 from conftest import build_digon, grid_map, vertex_chains
 
@@ -350,7 +349,7 @@ class TestWitnessFiles:
     def test_cli_fuzz_exits_2_on_an_unwritable_witness_directory(
             self, monkeypatch, tmp_path, capsys):
         # every law check fails, so the first ring found is persisted
-        monkeypatch.setattr(jordan, "count_components", lambda m: -1)
+        monkeypatch.setattr(jordan, "count_components", lambda m, broken=(): -1)
         blocker = tmp_path / "file"
         blocker.write_text("", encoding="utf-8")
         argv = ["fuzz", "--trials", "5", "--seed", "1", "--size", "8",
@@ -441,7 +440,7 @@ class TestEnumeration:
     def test_exhaustive_jordan_counts_injected_faults(self, monkeypatch):
         # each failure counter runs only when its check fails, so fail it
         rings = exhaustive_jordan(3, 3).rings_checked
-        monkeypatch.setattr(jordan, "count_components", lambda m: -1)
+        monkeypatch.setattr(jordan, "count_components", lambda m, broken=(): -1)
         rep = exhaustive_jordan(3, 3)
         assert (rep.delta_failures, rep.ring_soundness_failures) == (rings, 0)
         assert not rep.passed and "verdict=FAIL" in rep.summary()
@@ -458,7 +457,7 @@ class TestSweepIndexes:
     its whole term, on every slot and every view built on first read."""
 
     SLOTS = tuple(name for name in HypermapIndex.__slots__ if name != "__dict__") + tuple(
-        name for name, attr in vars(HypermapIndex).items() if isinstance(attr, cached_property))
+        name for name, attr in vars(HypermapIndex).items() if isinstance(attr, _lazy_view))
 
     def test_sweep_index_equals_build_index(self):
         assert {"stats", "edge_ids", "vertex_ids", "double_links"} <= set(self.SLOTS)

@@ -17,6 +17,10 @@ Which edge a double-link lies on and which two faces it borders is
 worked out in the index alone, in its ``double_links``: outside
 ``index`` and ``orbits`` no module reads ``edge_ids`` or ``face_ids``.
 
+The law check counts the components after a ring break by a walk of
+the unbroken term: ``jordan_check`` and ``exhaustive_jordan`` build no
+broken term, so neither calls ``break_ring``.
+
 The generators reach ``random.Random`` through its public methods only.
 """
 
@@ -107,6 +111,28 @@ def test_only_index_and_orbits_read_edge_and_face_labels():
                  if p.stem not in ("index", "orbits")}
     assert {name: reads for name, reads in offenders.items() if reads} == {}
     assert _attribute_reads(SRC / "index.py", labels) == ["edge_ids", "face_ids"]
+
+
+def _calls_in(path: Path, function: str) -> set[str]:
+    """The names of the functions called in the body of ``function``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (body,) = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == function]
+    names = set()
+    for node in ast.walk(body):
+        if isinstance(node, ast.Call):
+            func = node.func
+            names.add(func.id if isinstance(func, ast.Name)
+                      else getattr(func, "attr", None))
+    return names
+
+
+def test_law_checks_build_no_broken_term():
+    for function in ("jordan_check", "exhaustive_jordan"):
+        calls = _calls_in(SRC / "jordan.py", function)
+        assert "count_components" in calls, function
+        assert "break_ring" not in calls, function
+    assert "break_ring" in _calls_in(SRC / "jordan.py", "tail_is_ring_after_first_break")
 
 
 def test_generators_use_public_random_api_only():

@@ -46,7 +46,9 @@ def test_tracer_counts_a_sweep_and_restores_hmap():
     assert report.passed and report.maps_seen == 180
     metrics = tracer.metrics(1, busy, 1.0)
     assert metrics["index.builds"][0] == report.maps_seen
-    assert metrics["rings.breaks"][0] == 136
+    # one ring check per ring; the law check builds no broken term
+    assert metrics["rings.checks"][0] == report.rings_checked == 136
+    assert metrics["rings.breaks"][0] == 0
     assert after.keys() == before.keys()
     assert all(after[key] is obj for key, obj in before.items())
 
