@@ -156,6 +156,9 @@ class HypermapIndex(ChainKernel):
     each dart with the bottom of its open chain, by a walk of the
     chain's explicit links from that bottom, and ``double_links``, the
     one table every ring question reads.
+    The tables built with the index read only the two closures, so
+    ``recut`` hands them to the index of any term with equal closures,
+    whatever the cuts of its chains.
     """
 
     __slots__ = (
@@ -198,6 +201,41 @@ class HypermapIndex(ChainKernel):
         # each k-link joins two open k-chains: one edge or vertex fewer
         nd = len(darts)
         self.stats = MapStats.from_counts(nd, nd - len(ch0.succ), nd - len(ch1.succ), nf, nc)
+
+    def recut(self, m: FreeMap,
+              chains: tuple[ChainTracker, ChainTracker]) -> "HypermapIndex":
+        """The index of ``m``, given ``chains`` as ``HypermapIndex(m,
+        chains=...)`` takes them, sharing this index's tables where they
+        must agree; InternalInvariantError unless both closures of
+        ``chains`` equal this index's.
+
+        Equal closures mean the same darts, faces and components, and
+        the same counts: a k-chain closes to one cycle of ``closure[k]``,
+        so there are as many edges (vertices) as 0-cycles (1-cycles),
+        wherever each chain is cut.  So ``darts``, ``face_perm``,
+        ``face_ids``, ``component_ids`` and ``stats`` are shared.  A view
+        built on first read also reads one tracker's explicit links, and
+        is shared only when already built and read from that very
+        tracker: ``edge_ids`` and ``double_links`` when ``chains[0]`` is
+        this index's 0-tracker, ``vertex_ids`` when ``chains[1]`` is its
+        1-tracker.  Nothing is copied, so like the trackers the shared
+        tables are read-only.
+        """
+        for k, ch in enumerate(chains):
+            if ch.closed_succ != self.closure[k]:
+                raise InternalInvariantError(
+                    f"recut to a {k}-tracker whose closure is not this index's")
+        cls = type(self)
+        idx = cls.__new__(cls)
+        idx._adopt(chains)
+        idx.term, idx.closure = m, (chains[0].closed_succ, chains[1].closed_succ)
+        idx.darts, idx.face_perm, idx.face_ids = self.darts, self.face_perm, self.face_ids
+        idx.component_ids, idx.stats = self.component_ids, self.stats
+        views = self.__dict__
+        for name, k in (("edge_ids", 0), ("vertex_ids", 1), ("double_links", 0)):
+            if name in views and chains[k] is self.chains[k]:
+                idx.__dict__[name] = views[name]
+        return idx
 
     @_lazy_view
     def edge_ids(self) -> dict[Dart, Dart]:

@@ -521,7 +521,8 @@ def _maps(max_darts: int) -> Iterator[tuple[FreeMap, tuple[ChainTracker, ChainTr
     dimension's link rule reads only that dimension's chains and the
     dart set, which every replay here shares, so the whole term replays
     cleanly and its trackers equal this pair.  Maps share the trackers,
-    so none may change.
+    so none may change.  The maps of one 0-system come in one block that
+    shares its 0-tracker; ``exhaustive_jordan`` relies on this.
     """
     for n in range(max_darts + 1):
         base: FreeMap = Void()
@@ -581,9 +582,17 @@ def exhaustive_jordan(max_darts: int, max_ring_len: int) -> ExhaustiveReport:
 
     Each map's index adopts the trackers of two one-dimension replays
     (see ``_maps``) instead of replaying the map; these indexes share
-    their trackers and stay inside this function.  Each ring's count
-    after the break is one walk of the map's term that leaves the ring's
-    0-links out, as in ``jordan_check``: no broken term is built.
+    their trackers and stay inside this function.  In the block of maps
+    of one 0-tracker, only the first map of each 1-closure is labelled;
+    the others take its closure-level tables by ``HypermapIndex.recut``,
+    which is sound because those tables read only the two closures, and
+    its ``double_links`` too, since both read the one 0-tracker.  Each
+    1-tracker's closure is read once.  The block's indexes are kept by
+    closure and dropped when the 0-tracker changes, so at most ``n!`` of
+    them live at once on ``n`` darts.  Every map is still searched,
+    ring-checked and recounted on its own index and term.  Each ring's
+    count after the break is one walk of the map's term that leaves the
+    ring's 0-links out, as in ``jordan_check``: no broken term is built.
     """
     if max_darts < 0:
         raise ConstraintError(f"dart count {max_darts} is negative")
@@ -591,9 +600,22 @@ def exhaustive_jordan(max_darts: int, max_ring_len: int) -> ExhaustiveReport:
         raise ConstraintError(f"ring length {max_ring_len} is below 1")
     report = ExhaustiveReport()
     by_length = report.rings_by_length
+    closures: dict[ChainTracker, tuple] = {}  # each 1-tracker's closure, as a key
+    firsts: dict[tuple, HypermapIndex] = {}  # the block's first index of each closure
+    zero: ChainTracker | None = None
     for m, chains in _maps(max_darts):
         report.maps_seen += 1
-        idx = HypermapIndex(m, chains=chains)
+        if chains[0] is not zero:
+            zero = chains[0]
+            firsts.clear()
+        alpha1 = closures.get(chains[1])
+        if alpha1 is None:
+            alpha1 = closures[chains[1]] = tuple(sorted(chains[1].closed_succ.items()))
+        first = firsts.get(alpha1)
+        if first is None:
+            idx = firsts[alpha1] = HypermapIndex(m, chains=chains)
+        else:
+            idx = first.recut(m, chains)
         if not idx.stats.planar:
             continue
         report.planar_maps += 1

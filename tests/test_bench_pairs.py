@@ -55,3 +55,19 @@ def test_verdict_unresolved_on_a_wide_parent_spread():
     assert _verdict(parent, [9.5, 10.0, 10.5, 7.5]) == "unresolved"
     # a change that beats every parent run is resolved despite the spread
     assert _verdict(parent, [7.0, 7.5, 7.2, 7.1]) == "ok"
+
+
+def _traced(builds, checks, ms):
+    return {"result": {"metrics": {"index.builds": {"value": builds, "unit": "count"},
+                                   "rings.checks": {"value": checks, "unit": "count"},
+                                   "index.self_ms": {"value": ms, "unit": "ms"}}}}
+
+
+def test_summary_lists_the_trace_counts_that_differ():
+    record = {"runs": [_run(0, "parent", 5.0, True), _run(0, "change", 6.0, True)],
+              "trace_sweep": {"parent": _traced(5509.0, 5584.0, 51.1),
+                              "change": _traced(1838.0, 5584.0, 20.3)}}
+    bench = {"end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.15}]}
+    lines = _summary()(record, bench)
+    # a count that moved is listed; an equal count and a time are not
+    assert lines[3:] == ["sweep     trace       index.builds 5509 -> 1838"]

@@ -33,9 +33,9 @@ from hmap import (
     successor,
     top,
 )
-from hmap import fmap, index, jordan
+from hmap import InternalInvariantError, fmap, index, jordan
 from hmap.fmap import history, kernel_of
-from hmap.index import count_components
+from hmap.index import HypermapIndex, count_components
 from hmap.jordan import enumerate_maps, random_map, random_planar_map
 
 from conftest import grid_map
@@ -409,6 +409,52 @@ def test_double_links_equal_the_observer_oracle_on_the_3x3_grid():
 @pytest.mark.parametrize("seed, n", [(1, 12), (2, 30), (3, 60)])
 def test_double_links_equal_the_observer_oracle_on_planar_maps(seed, n):
     _assert_double_links_match_oracle(random_planar_map(seed, n, 2 * n))
+
+
+LAZY_VIEWS = tuple(name for name, attr in vars(HypermapIndex).items()
+                   if isinstance(attr, index._lazy_view))
+INDEX_SLOTS = tuple(name for name in HypermapIndex.__slots__ if name != "__dict__") + LAZY_VIEWS
+
+
+def test_recut_equals_build_index_across_every_cut():
+    # the first map of each closure pair, with every view read, is recut
+    # to each map of the pair, whose trackers may differ in either
+    # dimension; only views read from the same tracker may be shared
+    assert set(LAZY_VIEWS) == {"edge_ids", "vertex_ids", "double_links"}
+    firsts: dict[tuple, HypermapIndex] = {}
+    maps = 0
+    for m, chains in jordan._maps(4):
+        key = tuple(tuple(sorted(ch.closed_succ.items())) for ch in chains)
+        first = firsts.get(key)
+        if first is None:
+            first = firsts[key] = HypermapIndex(m, chains=chains)
+            for name in LAZY_VIEWS:
+                getattr(first, name)
+        cut = first.recut(m, chains)
+        assert cut.term is m and cut.chains is chains
+        assert cut.closure == tuple(ch.closed_succ for ch in chains)
+        same = {"edge_ids": chains[0] is first.chains[0],
+                "vertex_ids": chains[1] is first.chains[1],
+                "double_links": chains[0] is first.chains[0]}
+        assert {name: name in vars(cut) for name in LAZY_VIEWS} == same, m
+        built = build_index(m)
+        for slot in INDEX_SLOTS:
+            assert getattr(cut, slot) == getattr(built, slot), (m, slot)
+        maps += 1
+    assert len(firsts) == 618 and maps == 5509
+
+
+def test_recut_refuses_trackers_of_other_closures():
+    two = Insert(Insert(Void(), 1), 2)
+    idx = build_index(two)
+    for k in (0, 1):
+        other = Link(two, Dim(k), 1, 2)
+        with pytest.raises(InternalInvariantError, match=f"recut to a {k}-tracker"):
+            idx.recut(other, kernel_of(other).chains)
+    # a cut of the same closures is taken
+    edge, back = Link(two, d0, 1, 2), Link(two, d0, 2, 1)
+    cut = build_index(edge).recut(back, kernel_of(back).chains)
+    assert cut.term is back and cut.edge_ids == {1: 2, 2: 2}
 
 
 def test_unknown_attribute_still_raises():

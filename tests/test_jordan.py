@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 from collections import Counter
+from math import factorial
 from types import SimpleNamespace
 
 import pytest
@@ -478,6 +479,65 @@ class TestSweepIndexes:
                     assert swept.bottom(k, z) == built.bottom(k, z), (m, k, z)
             terms.append(m)
         assert terms == list(enumerate_maps(4)) and len(terms) == 5509
+
+    def test_sweep_searches_indexes_equal_to_build_index(self, monkeypatch):
+        # the sweep's own path: each index its ring search gets, built or
+        # recut, must equal one replay's on every slot and every view
+        calls = Counter()
+        init, recut = HypermapIndex.__init__, HypermapIndex.recut
+
+        def counted_init(idx, *args, **kwargs):
+            calls["__init__"] += 1
+            init(idx, *args, **kwargs)
+
+        def counted_recut(idx, *args):
+            calls["recut"] += 1
+            return recut(idx, *args)
+
+        def searched(idx, max_len):
+            calls["searched"] += 1
+            calls["shared"] += "double_links" in vars(idx)
+            built = build_index(idx.term)
+            for slot in self.SLOTS:
+                assert getattr(idx, slot) == getattr(built, slot), (idx.term, slot)
+            for ci, cb in zip(idx.chains, built.chains):
+                assert (ci.succ, ci.closed_succ, ci.closed_pred) == (
+                    cb.succ, cb.closed_succ, cb.closed_pred), idx.term
+            return candidate_rings(idx, max_len)
+
+        monkeypatch.setattr(HypermapIndex, "__init__", counted_init)
+        monkeypatch.setattr(HypermapIndex, "recut", counted_recut)
+        monkeypatch.setattr(jordan, "candidate_rings", searched)
+        report = exhaustive_jordan(4, 3)
+        assert report.summary() == (
+            "maps=5509 planar=4171 rings=5584 delta_failures=0 "
+            "soundness_failures=0 verdict=pass")
+        # one index per map; each searched one's reference build adds one
+        # more: sum of systems(n) * n! labellings, the rest recut
+        assert calls["searched"] == report.planar_maps
+        assert calls["__init__"] - calls["searched"] == 1 + 1 + 3 * 2 + 13 * 6 + 73 * 24 == 1838
+        assert calls["recut"] == report.maps_seen - 1838 == 3671
+        # a recut index of a planar map finds its double-links built
+        assert 0 < calls["shared"] < calls["searched"]
+
+    def test_closure_level_tables_depend_on_the_closures_only(self):
+        # the premise of recut, by build_index alone: maps with one pair
+        # of closures have one darts, faces, components and stats, and
+        # those that also share their 0-links have one double_links table
+        groups: dict[tuple, list[HypermapIndex]] = {}
+        for m in enumerate_maps(4):
+            idx = build_index(m)
+            key = tuple(tuple(sorted(idx.closure[k].items())) for k in (0, 1))
+            groups.setdefault(key, []).append(idx)
+        assert len(groups) == sum(factorial(n) ** 2 for n in range(5)) == 618
+        for group in groups.values():
+            first = group[0]
+            by_cut: dict[tuple, HypermapIndex] = {}
+            for idx in group:
+                for slot in ("darts", "stats", "face_perm", "face_ids", "component_ids"):
+                    assert getattr(idx, slot) == getattr(first, slot), (idx.term, slot)
+                same = by_cut.setdefault(tuple(sorted(idx.chains[0].succ.items())), idx)
+                assert idx.double_links == same.double_links, idx.term
 
 
 class TestSwapOracle:

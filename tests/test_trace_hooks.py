@@ -2,8 +2,9 @@
 
 ``hmapbench/tracer.py`` wraps ``hmap`` from outside by name: every public
 function of the modules it lists (``hmap.unionfind`` among them), every
-public method of ``HypermapIndex`` and ``IncrementalMap``, and a hook on
-``HypermapIndex.__init__`` that reads the new index's ``darts``.  A
+public method of ``HypermapIndex`` and ``IncrementalMap`` (``recut`` among
+them), and a hook on ``HypermapIndex.__init__`` that reads the new index's
+``darts``.  A
 refactor of ``hmap`` can break ``run.py --trace 1`` without any other
 test noticing; this runs the tracer on one small sweep.
 """
@@ -45,7 +46,11 @@ def test_tracer_counts_a_sweep_and_restores_hmap():
 
     assert report.passed and report.maps_seen == 180
     metrics = tracer.metrics(1, busy, 1.0)
-    assert metrics["index.builds"][0] == report.maps_seen
+    # one labelling per 0-system and 1-closure, 1 + 1 + 3 * 2 + 13 * 6;
+    # every other map's index is a recut of one of these
+    recuts = sum(tracer.names[nid] == "HypermapIndex.recut" for nid in tracer.span_name)
+    assert (metrics["index.builds"][0], recuts) == (86, 94)
+    assert metrics["index.builds"][0] + recuts == report.maps_seen
     # one ring check per ring; the law check builds no broken term
     assert metrics["rings.checks"][0] == report.rings_checked == 136
     assert metrics["rings.breaks"][0] == 0

@@ -86,7 +86,9 @@ def summary(record: dict, bench: dict) -> list[str]:
     """One line per workload and end-to-end metric: each side's median
     and quartiles, the change of the median, the pairs the change won and
     the verdict on the metric's bound; then per workload the failed ops
-    and the incorrect runs of each side."""
+    and the incorrect runs of each side; then one line per per-layer
+    count metric whose value differs between the two sides of the
+    workload's traced run (``trace_<workload>``)."""
     lines = []
     rules = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
     for w in dict.fromkeys(r["workload"] for r in record["runs"]):
@@ -114,6 +116,12 @@ def summary(record: dict, bench: dict) -> list[str]:
         wrong = {s: sum(not p[s]["correct"] for p in full) for s in SIDES}
         lines.append(f"{w:9s} incorrect   parent {wrong['parent']}/{len(full)} runs  "
                      f"change {wrong['change']}/{len(full)} runs")
+    for key in [k for k in record if k.startswith("trace_")]:
+        p, c = (record[key][s]["result"]["metrics"] for s in SIDES)
+        for name, metric in p.items():
+            if metric["unit"] == "count" and name in c and metric["value"] != c[name]["value"]:
+                lines.append(f"{key[6:]:9s} trace       {name} "
+                             f"{metric['value']:.6g} -> {c[name]['value']:.6g}")
     return lines
 
 
