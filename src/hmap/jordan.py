@@ -522,7 +522,9 @@ def _maps(max_darts: int) -> Iterator[tuple[FreeMap, tuple[ChainTracker, ChainTr
     dart set, which every replay here shares, so the whole term replays
     cleanly and its trackers equal this pair.  Maps share the trackers,
     so none may change.  The maps of one 0-system come in one block that
-    shares its 0-tracker; ``exhaustive_jordan`` relies on this.
+    shares its 0-tracker, and the 1-closures of a block number at most
+    ``n!``, one per permutation of the darts; ``exhaustive_jordan``
+    relies on both.
     """
     for n in range(max_darts + 1):
         base: FreeMap = Void()
