@@ -211,7 +211,7 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
             y = bits(nb) + 1
             while y > n_darts:
                 y = bits(nb) + 1
-            if _find(parent, x) == _find(parent, y):
+            if inc.n_components == 1 or _find(parent, x) == _find(parent, y):
                 continue
             k = dims[bits(1)]
         else:

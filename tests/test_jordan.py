@@ -39,6 +39,7 @@ from hmap import (
 )
 from hmap import jordan
 from hmap.cli import run_cli
+from hmap.fmap import LINK_REFUSALS
 from hmap.index import HypermapIndex, _lazy_view, count_components
 
 from conftest import build_digon, grid_map, vertex_chains
@@ -203,6 +204,21 @@ def test_generator_link_checks_and_links(monkeypatch, make, checks, links):
         monkeypatch.setattr(IncrementalMap, name, counted)
     make()
     assert (calls["link_violation"], calls["link"]) == (checks, links)
+
+
+def test_refused_link_checks_format_nothing(monkeypatch):
+    # a refused check returns the template of its failed conjunct, the
+    # module constant itself: the message is built only when raised
+    seen = []
+
+    def recorded(self, *args, _real=IncrementalMap.link_violation):
+        seen.append(_real(self, *args))
+        return seen[-1]
+    monkeypatch.setattr(IncrementalMap, "link_violation", recorded)
+    fuzz_jordan(25, 0, 48)
+    refused = [reason for reason in seen if reason is not None]
+    assert 0 < len(refused) < len(seen)
+    assert all(any(reason is t for t in LINK_REFUSALS) for reason in refused)
 
 
 class TestFindRing:

@@ -23,7 +23,7 @@ from hmap import (
     make_map,
     planar_from_break,
 )
-from hmap.fmap import ChainKernel, Insert, history
+from hmap.fmap import INSERT_REFUSALS, ChainKernel, Insert, Link, history, well_formed_violation
 from hmap.jordan import enumerate_maps, random_map, random_planar_map
 
 d0 = Dim.zero
@@ -288,10 +288,27 @@ class TestIncrementalMap:
 
         before = snapshot()
         message = f"link {x}->{y} at dim {k.value}: " + reason.format(k=k.value)
+        for refuse in (inc.link, inc.require_link):
+            with pytest.raises(ConstraintError) as exc:
+                refuse(k, x, y)
+            assert str(exc.value) == message
+            assert snapshot() == before
+        # the same step at the end of a term is its first ill-formed one
+        assert well_formed_violation(Link(inc.term(), k, x, y)) == message
+
+    @pytest.mark.parametrize("x, message", [
+        (0, "insert 0: dart id is the reserved nil value"),
+        (-3, "insert -3: dart id -3 is negative"),
+        (1, "insert 1: duplicate insert, dart 1 already exists"),
+    ])
+    def test_refused_insert_names_its_conjunct(self, x, message):
+        inc = IncrementalMap()
+        inc.insert(1)
+        assert any(inc.insert_violation(x) is t for t in INSERT_REFUSALS)
         with pytest.raises(ConstraintError) as exc:
-            inc.link(k, x, y)
+            inc.insert(x)
         assert str(exc.value) == message
-        assert snapshot() == before
+        assert well_formed_violation(Insert(inc.term(), x)) == message
 
     @pytest.mark.parametrize("k", [0, 1, "0", None])
     def test_link_needs_a_dim(self, k):

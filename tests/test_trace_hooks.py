@@ -72,3 +72,6 @@ def test_tracer_sees_every_link_attempt_of_the_generator():
     metrics = tracer.metrics(1, busy, 1.0)
     assert metrics["stats.link_attempts"][0] > 0
     assert 0 < metrics["stats.link_accept_ratio"][0] < 1
+    # fuzz_jordan builds its maps through the public generator, whose
+    # span the tracer times
+    assert metrics["jordan.generate_ms"][0] > 0
