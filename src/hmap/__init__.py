@@ -61,7 +61,6 @@ from .orbits import (
     all_orbits,
     orbit,
     same_component,
-    same_component_structural,
     same_edge,
     same_face,
     same_orbit,
@@ -127,7 +126,6 @@ __all__ = [
     "HypermapIndex", "MapStats", "build_index",
     "OrbitKind", "Orbit", "orbit", "all_orbits", "same_orbit",
     "same_edge", "same_vertex", "same_face", "same_component",
-    "same_component_structural",
     "counts", "counts_incremental", "euler_characteristic", "genus",
     "is_planar", "check_genus_theorem", "check_euler_formula",
     "CheckItem", "TheoremReport", "IncrementalMap",

@@ -8,17 +8,11 @@ dimension's explicit links acyclic, so each orbit is an open chain with a
 well defined ``bottom`` and ``top``; the missing wrap-around step of each
 chain is recovered by ``closed_successor``/``closed_predecessor``, under
 which a well-formed term presents as a pair of permutations of its darts.
-The chain kernel (``ChainKernel``) is built by replaying a term and
-stores those permutations, each dimension's closure and its inverse: a
-link joins the top of one chain to the bottom of another, so it rewires
-two darts of each.  The kernel answers the observers below, except
-``top`` and ``bottom``, in constant time.  Its checked construction is
-the well-formedness check, and the kernel of ``kernel_of`` that an
-index adopts.  A dimension's link rule reads only that dimension's
-chains and the dart set, so the exhaustive sweep hands an index the
-0-tracker and the 1-tracker of two checked one-dimension replays that
-many maps share.  The observers here walk the term and stay the
-reference semantics.
+The chain kernel (``ChainKernel``), built by replaying a term, stores
+those permutations and answers the observers below, except ``top`` and
+``bottom``, in constant time; its checked replay is the well-formedness
+check.  The observers here walk the term and stay the reference
+semantics.
 
 Observers are total: queries about the reserved nil dart or about darts
 that were never inserted answer nil (or False) instead of raising.
@@ -35,7 +29,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, KeysView
+from typing import Callable, Iterable, Iterator, KeysView
 
 Dart = int
 
@@ -143,9 +137,9 @@ class Insert(FreeMap):
     _step = ("x",)
 
     # Each slot is written through its descriptor; a frozen dataclass's
-    # generated __init__ goes through object.__setattr__ at twice the
-    # cost, paid by every step of every built term.  A dataclass keeps
-    # this __init__, and assignment still raises FrozenInstanceError.
+    # generated __init__ goes through the slower object.__setattr__,
+    # paid by every step of every built term.  A dataclass keeps this
+    # __init__, and assignment still raises FrozenInstanceError.
     def __init__(self, base: FreeMap, x: Dart) -> None:
         _INSERT_BASE(self, base)
         _INSERT_X(self, x)
@@ -196,58 +190,34 @@ def history(m: FreeMap) -> list[Insert | Link]:
 # observers
 
 
+def _steps(m: FreeMap) -> Iterator[Insert | Link]:
+    """The steps of ``m`` from the outermost in; TypeError at a non-term."""
+    while not isinstance(m, Void):
+        if not isinstance(m, (Insert, Link)):
+            raise TypeError(f"not a map term: {m!r}")
+        yield m
+        m = m.base
+
+
 def has_dart(m: FreeMap, z: Dart) -> bool:
     """True when ``z`` was inserted somewhere in ``m`` (nil never counts)."""
-    if z == NIL:
-        return False
-    cur = m
-    while True:
-        if isinstance(cur, Insert):
-            if cur.x == z:
-                return True
-            cur = cur.base
-        elif isinstance(cur, Link):
-            cur = cur.base
-        elif isinstance(cur, Void):
-            return False
-        else:
-            raise TypeError(f"not a map term: {cur!r}")
+    return z != NIL and any(isinstance(s, Insert) and s.x == z for s in _steps(m))
 
 
 def successor(m: FreeMap, k: Dim, z: Dart) -> Dart:
     """Explicit k-successor of ``z``; the most recent link wins; nil if none."""
     if z == NIL:
         return NIL
-    cur = m
-    while True:
-        if isinstance(cur, Link):
-            if cur.k is k and cur.x == z:
-                return cur.y
-            cur = cur.base
-        elif isinstance(cur, Insert):
-            cur = cur.base
-        elif isinstance(cur, Void):
-            return NIL
-        else:
-            raise TypeError(f"not a map term: {cur!r}")
+    return next((s.y for s in _steps(m)
+                 if isinstance(s, Link) and s.k is k and s.x == z), NIL)
 
 
 def predecessor(m: FreeMap, k: Dim, z: Dart) -> Dart:
     """Explicit k-predecessor of ``z``; the most recent link wins; nil if none."""
     if z == NIL:
         return NIL
-    cur = m
-    while True:
-        if isinstance(cur, Link):
-            if cur.k is k and cur.y == z:
-                return cur.x
-            cur = cur.base
-        elif isinstance(cur, Insert):
-            cur = cur.base
-        elif isinstance(cur, Void):
-            return NIL
-        else:
-            raise TypeError(f"not a map term: {cur!r}")
+    return next((s.x for s in _steps(m)
+                 if isinstance(s, Link) and s.k is k and s.y == z), NIL)
 
 
 def has_successor(m: FreeMap, k: Dim, z: Dart) -> bool:
@@ -426,12 +396,8 @@ class ChainKernel:
     fails raises ConstraintError naming it, so the constructor is the
     well-formedness check.  :class:`hmap.index.HypermapIndex` is orbit
     labels on a kernel that adopts (``_adopt``) the trackers of checked
-    replays: of its whole term, or, in the exhaustive sweep, the
-    0-tracker of a replay of its inserts and 0-links and the 1-tracker
-    of one of its inserts and 1-links, which equal those of the whole
-    replay because a dimension's link rule reads only that dimension's
-    chains and the dart set.  Either way trackers exist only for a
-    well-formed term.  :class:`hmap.stats.IncrementalMap` is an empty
+    replays of its term (see its ``chains``), so trackers exist only for
+    a well-formed term.  :class:`hmap.stats.IncrementalMap` is an empty
     kernel that keeps its counts current.
     """
 
@@ -514,8 +480,7 @@ class ChainKernel:
         """The template of the failed conjunct of ``x -> y`` at dimension
         ``k`` (see :meth:`ChainTracker.violation`), or None when it can
         be linked; :meth:`ChainTracker.refusal` fills it in."""
-        # _dim inlined: the generators make a check per attempt, and the
-        # extra call costs about 25 ns of a 130-180 ns check
+        # _dim inlined: the generators make a check per attempt
         if k is _ZERO:
             return self.chains[0].violation(x, y)
         if k is _ONE:

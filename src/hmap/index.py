@@ -2,14 +2,8 @@
 
 The recursive observers in :mod:`hmap.fmap` walk the term on every query,
 which is the right reference semantics but quadratic in bulk use.  A
-:class:`HypermapIndex` is a chain kernel that adopts the two trackers
-of its term: those of ``kernel_of``'s one checked replay, or, in the
-exhaustive sweep, the 0-tracker and the 1-tracker of two checked
-one-dimension replays.  They hold the explicit links and the closure
-permutations of both dimensions with their inverses.  To them the index
-adds the face permutation and the face and component partitions, and on
-first read the edge and vertex partitions and the double-link table,
-answering all further queries in O(1).
+:class:`HypermapIndex` is the kernel of its term with its orbits
+labelled once, so it answers all further queries in O(1).
 """
 
 from __future__ import annotations
@@ -47,8 +41,8 @@ class MapStats:
     genus: int
     planar: bool
 
-    # Each slot is written through its descriptor, as in ``Insert``: the
-    # generated __init__'s object.__setattr__ took a fifth of an index build.
+    # Each slot is written through its descriptor, as in ``Insert``;
+    # every index build makes one.
     def __init__(self, n_darts: int, n_edges: int, n_vertices: int, n_faces: int,
                  n_components: int, euler_characteristic: int, genus: int,
                  planar: bool) -> None:
@@ -148,17 +142,11 @@ class HypermapIndex(ChainKernel):
     the closure permutation of dimension ``k``: the tracker's own dict,
     shared and not copied, so it is read-only.
     Built with it are what ``stats`` counts: the sorted ``darts``,
-    ``face_perm`` as a permutation dict, and the labellings ``face_ids``,
-    by one cycle walk of ``face_perm`` per face, and ``component_ids``,
-    by one walk of both closures per component; each walk starts from
-    the least dart of its orbit, which labels the orbit, and counts it.
-    Built on first read are ``edge_ids`` and ``vertex_ids``, which label
-    each dart with the bottom of its open chain, by a walk of the
-    chain's explicit links from that bottom, and ``double_links``, the
-    one table every ring question reads.
-    The tables built with the index read only the two closures, so
-    ``recut`` hands them to the index of any term with equal closures,
-    whatever the cuts of its chains.
+    ``face_perm`` as a permutation dict, and the labellings ``face_ids``
+    and ``component_ids``, each orbit labelled by its least dart.  Built
+    on first read are ``edge_ids`` and ``vertex_ids``, which label each
+    dart with the bottom of its open chain, and ``double_links``, the one
+    table every ring question reads.
     """
 
     __slots__ = (

@@ -116,9 +116,8 @@ def random_map(seed: int, n_darts: int, n_link_attempts: int) -> FreeMap:
     """Deterministic random well-formed map: darts 1..n, then uniform
     link attempts, keeping those that meet the link preconditions.
 
-    Each attempt draws its dimension as ``getrandbits(1)`` and its two
-    darts as ``randint(1, n)`` would, by the rule of
-    :func:`random_planar_map`.  ConstraintError on a negative count."""
+    Each attempt draws its dimension and its two darts uniformly.
+    ConstraintError on a negative count."""
     if n_darts < 0:
         raise ConstraintError(f"dart count {n_darts} is negative")
     if n_link_attempts < 0:
@@ -161,24 +160,9 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
     ``n_links = 2 * n_darts`` always spends the whole budget and places
     fewer links than asked.
 
-    The term is a fixed function of ``(seed, n_darts, n_links)``: the
-    draws, their order and the attempt count all decide it, and the
-    test suite pins the terms of a set of triples by their digest.
-    Every draw goes through the public ``random()`` and ``getrandbits``
-    of a ``random.Random`` seeded with ``seed``.  With
-    ``r = random() * 8.0``, the move is a bridge when ``r < 2``, a split
-    at dimension zero when ``2 <= r < 5`` and one at dimension one
-    otherwise: ``bisect((2, 5, 8), r, 0, 2)``, what
-    ``choices(moves, weights=(2, 3, 3))`` computes.  A bridge between
-    darts of one component is dropped before the link check; every
-    other attempt makes one ``link_violation`` call.  A number below
-    ``n`` is ``getrandbits(n.bit_length())``, drawn again until it is
-    below ``n``: that is how ``random.Random`` draws ``randrange(n)``
-    and the index of ``choice(seq)`` with ``n = len(seq)``, so the
-    darts (``randint(1, n)``) and the face members come out as those
-    calls give them, without their per-call set-up.  The digest holds
-    this rule to those calls: it was recorded when the generator still
-    made them.
+    The term is a fixed function of ``(seed, n_darts, n_links)``, drawn
+    from a ``random.Random`` seeded with ``seed``; the test suite pins
+    the terms of a set of triples by their digest.
     """
     if n_darts < 0:
         raise ConstraintError(f"dart count {n_darts} is negative")
@@ -579,22 +563,16 @@ def exhaustive_jordan(max_darts: int, max_ring_len: int) -> ExhaustiveReport:
     ``max_darts`` darts and every ring with up to ``max_ring_len`` items.
 
     ``rings_by_length`` counts the rings checked by their item count.
-    Maps of at most 5 darts hold rings of 1 and 2 items only (247,400
-    and 40,704 of them), so there a cap of 3 or more never binds.
+    Maps of at most 5 darts hold rings of 1 and 2 items only, so there a
+    cap of 3 or more never binds.
 
-    Each map's index adopts the trackers of two one-dimension replays
-    (see ``_maps``) instead of replaying the map; these indexes share
-    their trackers and stay inside this function.  In the block of maps
-    of one 0-tracker, only the first map of each 1-closure is labelled;
-    the others take its closure-level tables by ``HypermapIndex.recut``,
-    which is sound because those tables read only the two closures, and
-    its ``double_links`` too, since both read the one 0-tracker.  Each
-    1-tracker's closure is read once.  The block's indexes are kept by
-    closure and dropped when the 0-tracker changes, so at most ``n!`` of
-    them live at once on ``n`` darts.  Every map is still searched,
-    ring-checked and recounted on its own index and term.  Each ring's
-    count after the break is one walk of the map's term that leaves the
-    ring's 0-links out, as in ``jordan_check``: no broken term is built.
+    Each map's index adopts the trackers ``_maps`` gives it, shared with
+    other maps, so these indexes stay inside this function.  In the block
+    of maps of one 0-tracker only the first map of each 1-closure is
+    labelled; the others take its tables by ``HypermapIndex.recut``, so
+    at most ``n!`` indexes live at once on ``n`` darts.  Every map is
+    still searched, ring-checked and recounted on its own index and term,
+    the recount as in ``jordan_check``: no broken term is built.
     """
     if max_darts < 0:
         raise ConstraintError(f"dart count {max_darts} is negative")

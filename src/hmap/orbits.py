@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .fmap import ConstraintError, Dart, FreeMap, Insert, Link, history
+from .fmap import ConstraintError, Dart, FreeMap
 from .index import HypermapIndex, _cycle, _same, ensure_index
 
 
@@ -38,9 +38,7 @@ def _perm_of(idx: HypermapIndex, kind: OrbitKind) -> dict[Dart, Dart]:
         return idx.closure[0]
     if kind is OrbitKind.vertex:
         return idx.closure[1]
-    if kind is OrbitKind.face:
-        return idx.face_perm
-    raise ValueError(f"no single permutation generates {kind.value} orbits")
+    return idx.face_perm
 
 
 def orbit(m: FreeMap | HypermapIndex, kind: OrbitKind, z: Dart) -> Orbit:
@@ -99,39 +97,3 @@ def same_face(m: FreeMap | HypermapIndex, a: Dart, b: Dart) -> bool:
 
 def same_component(m: FreeMap | HypermapIndex, a: Dart, b: Dart) -> bool:
     return same_orbit(m, OrbitKind.component, a, b)
-
-
-def same_component_structural(m: FreeMap, x: Dart, y: Dart) -> bool:
-    """Connectivity decided by recursion on the term, with no index.
-
-    An insertion relates the new dart to itself only; a link additionally
-    relates anything reaching its tail to anything reached from its head,
-    in both directions.  Kept as an independent reference for the
-    union-find implementation; memoized per prefix so repeated subqueries
-    stay polynomial.  An oracle for small maps only: it recurses once per
-    step, so a term of about 1,000 steps exceeds the default recursion
-    limit, and a 100-dart map already takes seconds.
-    """
-    steps = history(m)
-    memo: dict[tuple[int, Dart, Dart], bool] = {}
-
-    def eqc(i: int, a: Dart, b: Dart) -> bool:
-        if i == 0:
-            return False
-        key = (i, a, b)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        node = steps[i - 1]
-        if isinstance(node, Insert):
-            res = (a == node.x and b == node.x) or eqc(i - 1, a, b)
-        else:
-            assert isinstance(node, Link)
-            u, v = node.x, node.y
-            res = (eqc(i - 1, a, b)
-                   or (eqc(i - 1, a, u) and eqc(i - 1, v, b))
-                   or (eqc(i - 1, a, v) and eqc(i - 1, u, b)))
-        memo[key] = res
-        return res
-
-    return eqc(len(steps), x, y)

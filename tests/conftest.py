@@ -59,6 +59,42 @@ def swap(m: FreeMap) -> FreeMap:
     return out
 
 
+def same_component_structural(m: FreeMap, x: int, y: int) -> bool:
+    """Connectivity decided by recursion on the term, with no index.
+
+    An insertion relates the new dart to itself only; a link additionally
+    relates anything reaching its tail to anything reached from its head,
+    in both directions.  Kept as an independent reference for the
+    union-find implementation; memoized per prefix so repeated subqueries
+    stay polynomial.  An oracle for small maps only: it recurses once per
+    step, so a term of about 1,000 steps exceeds the default recursion
+    limit, and a 100-dart map already takes seconds.
+    """
+    steps = history(m)
+    memo: dict[tuple[int, int, int], bool] = {}
+
+    def eqc(i: int, a: int, b: int) -> bool:
+        if i == 0:
+            return False
+        key = (i, a, b)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        node = steps[i - 1]
+        if isinstance(node, Insert):
+            res = (a == node.x and b == node.x) or eqc(i - 1, a, b)
+        else:
+            assert isinstance(node, Link)
+            u, v = node.x, node.y
+            res = (eqc(i - 1, a, b)
+                   or (eqc(i - 1, a, u) and eqc(i - 1, v, b))
+                   or (eqc(i - 1, a, v) and eqc(i - 1, u, b)))
+        memo[key] = res
+        return res
+
+    return eqc(len(steps), x, y)
+
+
 def build_two_dart_edge() -> FreeMap:
     # one 0-link between two darts: one edge, two vertices, one face
     return make_map([1, 2], [(d0, 1, 2)])

@@ -129,6 +129,10 @@ class TestHasDart:
     def test_nil_never_exists(self, fixture15):
         assert not has_dart(fixture15, NIL)
 
+    def test_non_term_base_raises(self):
+        with pytest.raises(TypeError, match=r"^not a map term: None$"):
+            has_dart(Insert(None, 1), 2)
+
 
 class TestSuccessor:
     def test_fixture_values(self, fixture15):
@@ -149,6 +153,11 @@ class TestSuccessor:
         m = Link(Link(Insert(Insert(Insert(Void(), 1), 2), 3), d0, 1, 2), d0, 1, 3)
         assert successor(m, d0, 1) == 3
 
+    @pytest.mark.parametrize("observer", [successor, predecessor])
+    def test_non_term_base_raises(self, observer):
+        with pytest.raises(TypeError, match=r"^not a map term: None$"):
+            observer(Insert(None, 1), d0, 1)
+
 
 class TestTopBottom:
     def test_fixture_values(self, fixture15):
@@ -167,6 +176,14 @@ class TestTopBottom:
     def test_missing_dart_gives_nil(self, two_dart_edge):
         assert top(two_dart_edge, d0, 9) == NIL
         assert bottom(two_dart_edge, d0, 9) == NIL
+
+    def test_cycle_of_explicit_links_gives_nil(self):
+        # a raw term whose 0-links 1 -> 2 -> 1 cycle has no chain ends
+        m = Link(Link(make_map([1, 2]), d0, 1, 2), d0, 2, 1)
+        assert not is_well_formed(m)
+        for z in (1, 2):
+            assert top(m, d0, z) == NIL
+            assert bottom(m, d0, z) == NIL
 
     def test_endpoint_characterization(self, fixture15):
         for k in Dim:
@@ -416,6 +433,14 @@ class TestKernelConstructor:
                 assert well_formed_violation(m) is None
         assert 0 < n_bad < 300
 
+    def test_link_of_no_dimension_raises(self):
+        with pytest.raises(TypeError, match=r"^not a dimension: 0$"):
+            ChainKernel(Link(make_map([1, 2]), 0, 1, 2))
+
+    def test_non_term_base_raises(self):
+        with pytest.raises(TypeError, match=r"^not a map term: None$"):
+            ChainKernel(Insert(None, 1))
+
 
 class TestDestructors:
     def test_break_removes_last_link(self, two_dart_edge):
@@ -445,6 +470,15 @@ class TestDestructors:
 
     def test_delete_absent_unchanged(self, two_dart_edge):
         assert delete_dart(two_dart_edge, 9) == two_dart_edge
+
+    def test_steps_after_the_removed_one_are_rebuilt(self):
+        # an insert and a link after the removed step are put back on top
+        edge = link(make_map([1, 2]), d0, 1, 2)
+        assert break_link(Insert(edge, 3), d0, 1) == make_map([1, 2, 3])
+        assert break_link_back(Insert(edge, 3), d0, 2) == make_map([1, 2, 3])
+        m = Link(Insert(Insert(make_map([1]), 2), 3), d1, 1, 2)
+        assert delete_dart(m, 3) == make_map([1, 2], [(d1, 1, 2)])
+        assert delete_dart(Insert(Insert(make_map([1]), 2), 3), 2) == make_map([1, 3])
 
     def test_remove_dart_refuses_linked(self, two_dart_edge):
         with pytest.raises(ConstraintError, match="still linked"):

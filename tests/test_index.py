@@ -29,7 +29,6 @@ from hmap import (
     face_successor,
     has_dart,
     predecessor,
-    same_component_structural,
     successor,
     top,
 )
@@ -38,7 +37,7 @@ from hmap.fmap import history, kernel_of
 from hmap.index import HypermapIndex, count_components
 from hmap.jordan import enumerate_maps, random_map, random_planar_map
 
-from conftest import grid_map
+from conftest import grid_map, same_component_structural
 
 d0 = Dim.zero
 d1 = Dim.one
@@ -220,6 +219,7 @@ def test_lazy_views_are_built_on_first_read_only(monkeypatch):
     real = index._chain_ids
     monkeypatch.setattr(index, "_chain_ids", lambda ch: calls.append(ch.k) or real(ch))
     for name in ("edge_ids", "vertex_ids", "double_links"):
+        assert getattr(HypermapIndex, name) is vars(HypermapIndex)[name]
         assert name not in vars(idx)
         view = getattr(idx, name)
         assert vars(idx)[name] is view is getattr(idx, name)

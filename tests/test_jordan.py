@@ -5,6 +5,7 @@ import itertools
 import random
 from collections import Counter
 from math import factorial
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -346,6 +347,42 @@ class TestFuzz:
         assert set(rep.rings_by_length) <= {1, 2, 3, 4}
         line = ",".join(f"{n}:{c}" for n, c in sorted(rep.rings_by_length.items()))
         assert f"\nrings_by_length={line}\n" in rep.summary()
+
+    def test_law_failures_are_counted_and_persisted(self, monkeypatch, tmp_path):
+        # every law check fails, so each ring found leaves a witness pair
+        monkeypatch.setattr(jordan, "count_components", lambda m, broken=(): -1)
+        rep = fuzz_jordan(10, 5, 6, witness_dir=tmp_path)
+        assert rep.delta_failures == rep.rings_found == 2
+        assert (rep.connect_failures, rep.tail_failures, rep.search_failures) == (0, 0, 0)
+        assert len(rep.witness_paths) == 2 * rep.delta_failures
+        lines = rep.summary().splitlines()
+        assert "verdict=FAIL" in lines
+        assert [ln for ln in lines if ln.startswith("witness=")] == \
+            [f"witness={p}" for p in rep.witness_paths]
+        monkeypatch.undo()
+        names = sorted({Path(p).stem for p in rep.witness_paths})
+        assert len(names) == rep.delta_failures
+        for name in names:
+            m, ring = load_witness(tmp_path, name)
+            assert is_planar(m) and check_ring(m, ring).valid
+            assert jordan_check(m, ring).passed
+
+    def test_lemma_and_search_failures_are_counted(self, monkeypatch):
+        # seed 5 finds one ring of one item and one of two; the lemmas
+        # run on the second only
+        monkeypatch.delenv("HMAP_WITNESS_DIR", raising=False)
+        assert fuzz_jordan(10, 5, 6).rings_by_length == {1: 1, 2: 1}
+        monkeypatch.setattr(jordan, "first_break_keeps_connected", lambda m, items: False)
+        monkeypatch.setattr(jordan, "tail_is_ring_after_first_break", lambda m, items: False)
+        rep = fuzz_jordan(10, 5, 6)
+        assert (rep.delta_failures, rep.connect_failures, rep.tail_failures,
+                rep.search_failures) == (0, 1, 1, 0)
+        assert rep.failures == 2 and rep.witness_paths == []
+        monkeypatch.setattr(jordan, "check_ring", lambda idx, ring: SimpleNamespace(valid=False))
+        rep = fuzz_jordan(10, 5, 6)
+        assert (rep.delta_failures, rep.connect_failures, rep.tail_failures,
+                rep.search_failures) == (0, 0, 0, 2)
+        assert not rep.passed
 
 
 class TestWitnessFiles:

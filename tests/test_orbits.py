@@ -15,13 +15,14 @@ from hmap import (
     make_map,
     orbit,
     same_component,
-    same_component_structural,
     same_edge,
     same_face,
     same_orbit,
     same_vertex,
 )
 from hmap.jordan import enumerate_maps, random_map
+
+from conftest import same_component_structural
 
 
 def test_fixture_orbit_sets(fixture15):

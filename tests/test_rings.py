@@ -8,6 +8,7 @@ import pytest
 from hmap import (
     ConstraintError,
     Dim,
+    Insert,
     Link,
     RingDiagnostics,
     RingItem,
@@ -193,6 +194,10 @@ class TestBreakRing:
 
     def test_empty_is_identity(self, digon):
         assert break_ring(digon, []) == digon
+
+    def test_insert_after_the_ring_is_rebuilt(self, digon):
+        broken = make_map([1, 2, 3, 4], [(d1, 2, 3), (d1, 4, 1)])
+        assert break_ring(Insert(digon, 5), DIGON_RING) == Insert(broken, 5)
 
     def test_missing_link_names_item(self, digon):
         with pytest.raises(ConstraintError, match="item 1"):
