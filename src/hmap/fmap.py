@@ -84,10 +84,12 @@ class FreeMap:
     ``==``, ``hash`` and ``repr`` loop down the ``base`` chain, so terms
     of any depth support them (the dataclass versions recurse once per
     node); they agree with the dataclass versions.  ``_step`` names a
-    step's fields other than ``base``.
+    step's fields other than ``base``.  A term can be weakly referenced,
+    which is how a generator hands its trackers to the term's first
+    index without keeping the term alive.
     """
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
     _step: tuple[str, ...] = ()
 
     def __eq__(self, other: object) -> bool:

@@ -29,13 +29,14 @@ from .fmap import (
     Dim,
     FreeMap,
     Insert,
+    InternalInvariantError,
     Link,
     MapError,
     Void,
 )
 from .index import (
     HypermapIndex,
-    _cycle,
+    _hand_on,
     build_index,
     count_components,
     ensure_index,
@@ -117,7 +118,9 @@ def random_map(seed: int, n_darts: int, n_link_attempts: int) -> FreeMap:
     link attempts, keeping those that meet the link preconditions.
 
     Each attempt draws its dimension and its two darts uniformly.
-    ConstraintError on a negative count."""
+    ConstraintError on a negative count.  The trackers of the build are
+    handed on with the term: the first index of the returned term
+    adopts them and replays nothing (see ``HypermapIndex``)."""
     if n_darts < 0:
         raise ConstraintError(f"dart count {n_darts} is negative")
     if n_link_attempts < 0:
@@ -140,7 +143,7 @@ def random_map(seed: int, n_darts: int, n_link_attempts: int) -> FreeMap:
                 y = bits(nb) + 1
             if link_violation(k, x, y) is None:
                 link(k, x, y)
-    return inc.term()
+    return _hand_on(inc.term(), inc.chains)
 
 
 def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
@@ -162,7 +165,9 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
 
     The term is a fixed function of ``(seed, n_darts, n_links)``, drawn
     from a ``random.Random`` seeded with ``seed``; the test suite pins
-    the terms of a set of triples by their digest.
+    the terms of a set of triples by their digest.  As in ``random_map``,
+    the first index of the returned term adopts the trackers of the
+    build instead of replaying the term.
     """
     if n_darts < 0:
         raise ConstraintError(f"dart count {n_darts} is negative")
@@ -177,7 +182,7 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
     for d in range(1, n_darts + 1):
         inc.insert(d)
     if n_links == 0:
-        return inc.term()
+        return _hand_on(inc.term(), inc.chains)
 
     rand, bits, nb = rng.random, rng.getrandbits, n_darts.bit_length()
     parent, face_next = inc.components, inc.face_next
@@ -203,7 +208,14 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
             z = bits(nb) + 1
             while z > n_darts:
                 z = bits(nb) + 1
-            face = _cycle(face_next, z)
+            face = [z]
+            w = face_next[z]
+            while w != z:
+                if len(face) == n_darts:
+                    raise InternalInvariantError(
+                        f"walk from dart {z} does not return: not a permutation")
+                face.append(w)
+                w = face_next[w]
             n = len(face)
             fb = n.bit_length()
             i = bits(fb)
@@ -222,7 +234,7 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
             placed += 1
             if placed == n_links:
                 break
-    return inc.term()
+    return _hand_on(inc.term(), inc.chains)
 
 
 # ---------------------------------------------------------------------------

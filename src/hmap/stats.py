@@ -19,6 +19,7 @@ from .fmap import (
     Dim,
     FreeMap,
     Insert,
+    InternalInvariantError,
     Link,
     Void,
     _ONE,
@@ -182,6 +183,21 @@ class IncrementalMap(ChainKernel):
     def face_members(self, z: Dart) -> list[Dart]:
         return _cycle(self.face_next, z)
 
+    def _face_reaches(self, a: Dart, b: Dart) -> bool:
+        """Whether the walk of a's face from ``a`` meets ``b`` before it
+        returns to ``a``.  A walk that does neither in one step per dart
+        means ``face_next`` is not a permutation, an error as in ``_cycle``."""
+        face_next = self.face_next
+        z = a
+        for _ in range(len(face_next)):
+            if z == b:
+                return True
+            z = face_next[z]
+            if z == a:
+                return False
+        raise InternalInvariantError(
+            f"walk from dart {a} does not return: not a permutation")
+
     # -- construction ---------------------------------------------------------
 
     # The kernel's link check, bound in this class body as well, so that
@@ -202,24 +218,25 @@ class IncrementalMap(ChainKernel):
         self._term = Insert(self._term, x)
 
     def link(self, k: Dim, x: Dart, y: Dart) -> None:
-        # the tracker checks and applies the link; the face test after it
-        # reads only the other dimension and face_next, which it leaves
-        # alone.  x was a top and y a bottom: bottom and top are their far ends
+        # the tracker checks and applies the link.  The face successor
+        # changes at b, to a, and at p, to q; the link splits a's face
+        # when b is on it, else it merges two faces.  The walk reads only
+        # face_next and the other dimension, which the link leaves alone.
+        # x was a top and y a bottom: bottom and top are their far ends
         c0, c1 = self.chains
         if k is _ZERO:
             bottom, top = c0.link(x, y)
-            splits = self.link_splits_face(k, x, y)
-            self.face_next[y] = c1.closed_pred[x]
-            self.face_next[bottom] = c1.closed_pred[top]
+            a, b, p, q = c1.closed_pred[x], y, bottom, c1.closed_pred[top]
         elif k is _ONE:
             bottom, top = c1.link(x, y)
-            splits = self.link_splits_face(k, x, y)
-            self.face_next[c0.closed_succ[y]] = x
-            self.face_next[c0.closed_succ[bottom]] = top
+            a, b, p, q = x, c0.closed_succ[y], c0.closed_succ[bottom], top
         else:
             raise TypeError(f"not a dimension: {k!r}")
 
-        self.n_faces += 1 if splits else -1
+        self.n_faces += 1 if self._face_reaches(a, b) else -1
+        face_next = self.face_next
+        face_next[b] = a
+        face_next[p] = q
         if _union(self.components, x, y):
             self.n_components -= 1
         self._term = Link(self._term, k, x, y)

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hmap import parse_map, serialize_map, serialize_ring, RingItem
-from hmap.cli import _build_parser, run_cli
+from hmap.cli import _build_parser, main, run_cli
 
 from conftest import build_digon, build_fixture15, build_two_dart_edge
 
@@ -57,6 +58,20 @@ def test_check_garbage_exits_2(files, capsys):
 def test_missing_file_exits_2(tmp_path, capsys):
     assert run_cli(["check", str(tmp_path / "nope.map")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, code", [
+    (["check", "digon"], 0), (["check", "bad"], 1), (["check", "garbage"], 2),
+    (["bogus"], 2), ([], 2)])
+def test_main_exits_with_the_status(files, monkeypatch, capsys, command, code):
+    # the parser refuses a command it does not list, with exit status 2
+    argv = ["hmap", *(files.get(arg, arg) for arg in command)]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == code
+    if command[:1] == ["bogus"]:
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_stats_fixed_order(files, capsys):

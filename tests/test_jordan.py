@@ -1,5 +1,6 @@
 """Ring-break law, its two lemmas, generators, search, fuzz, enumeration."""
 
+import gc
 import hashlib
 import itertools
 import random
@@ -14,8 +15,10 @@ from hmap import (
     ConstraintError,
     Dim,
     IncrementalMap,
+    InternalInvariantError,
     Link,
     MapError,
+    Void,
     RingItem,
     break_ring,
     build_index,
@@ -32,15 +35,16 @@ from hmap import (
     jordan_check,
     load_witness,
     make_map,
+    parse_map,
     persist_witness,
     random_map,
     random_planar_map,
     serialize_map,
     tail_is_ring_after_first_break,
 )
-from hmap import jordan
+from hmap import index, jordan
 from hmap.cli import run_cli
-from hmap.fmap import LINK_REFUSALS
+from hmap.fmap import LINK_REFUSALS, ChainKernel, kernel_of
 from hmap.index import HypermapIndex, _lazy_view, count_components
 
 from conftest import build_digon, grid_map, vertex_chains
@@ -149,6 +153,20 @@ class TestRandomPlanarMap:
         idx = build_index(m)
         n_links = len(idx.chains[0].succ) + len(idx.chains[1].succ)
         assert n_links <= 20
+
+    def test_broken_face_permutation_fails(self, monkeypatch):
+        # 1 -> 2 -> ... -> 8 -> 8 never returns to a dart below 8: the
+        # face walk of the first split attempt raises, it does not loop
+        class Broken(IncrementalMap):
+            __slots__ = ()
+
+            def insert(self, x):
+                super().insert(x)
+                self.face_next[x] = min(x + 1, 8)
+        monkeypatch.setattr(jordan, "IncrementalMap", Broken)
+        with pytest.raises(InternalInvariantError, match="does not return") as exc:
+            random_planar_map(0, 8, 4)
+        assert exc.traceback[-1].name == "random_planar_map"
 
 
 def _fuzz_triples(seed: int, trials: int, size_bound: int):
@@ -591,6 +609,82 @@ class TestSweepIndexes:
                     assert getattr(idx, slot) == getattr(first, slot), (idx.term, slot)
                 same = by_cut.setdefault(tuple(sorted(idx.chains[0].succ.items())), idx)
                 assert idx.double_links == same.double_links, idx.term
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """The terms ``ChainKernel`` replays while the test runs; the empty
+    term of each new ``IncrementalMap`` is left out."""
+    seen = []
+
+    def spied(kernel, m=Void(), _init=ChainKernel.__init__):
+        if not isinstance(m, Void):
+            seen.append(m)
+        _init(kernel, m)
+    monkeypatch.setattr(ChainKernel, "__init__", spied)
+    return seen
+
+
+class TestHandedOnIndexes:
+    """The generators hand their trackers to the first index of the term
+    they return; that index must equal one of a replay, and any other
+    term, or a second index, must still replay."""
+
+    SLOTS = TestSweepIndexes.SLOTS
+
+    @staticmethod
+    def _assert_equal(idx, ref, what):
+        for slot in TestHandedOnIndexes.SLOTS:
+            assert getattr(idx, slot) == getattr(ref, slot), (what, slot)
+        for ci, cr in zip(idx.chains, ref.chains):
+            assert ((ci.k, ci.succ, ci.closed_succ, ci.closed_pred)
+                    == (cr.k, cr.succ, cr.closed_succ, cr.closed_pred)), what
+
+    def test_handed_on_index_equals_a_replays(self, replays):
+        made = [(random_planar_map, t) for s in range(4) for t in _fuzz_triples(s, 25, 48)]
+        made += [(random_planar_map, (n, n, 2 * n)) for n in (200, 1000, 2000, 3000)]
+        made += [(random_map, (s, s + 1, 2 * (s + 1))) for s in range(0, 50, 7)]
+        for make, args in made:
+            m = make(*args)
+            handed = build_index(m)
+            assert replays == [], (make.__name__, args)
+            self._assert_equal(handed, HypermapIndex(m, chains=kernel_of(m).chains),
+                               (make.__name__, args))
+            replays.clear()
+
+    def test_only_the_returned_term_skips_its_replay(self, replays):
+        fuzz_jordan(25, 0, 48)
+        assert replays == []
+        m1 = random_planar_map(1, 30, 40)
+        m2 = random_planar_map(2, 30, 40)
+        parsed = parse_map(serialize_map(m2))
+        build_index(parsed)
+        assert replays == [parsed]
+        build_index(m1)  # handed on before m2, so replaced
+        assert replays[1:] == [m1] and replays[1] is m1
+        build_index(m2)
+        build_index(m2)  # only the first index adopts
+        assert len(replays) == 3 and replays[2] is m2
+
+    def test_the_slot_goes_with_its_term(self):
+        m = random_planar_map(1, 30, 40)
+        assert index._handed is not None and index._handed[0]() is m
+        del m
+        gc.collect()
+        assert index._handed is None
+
+    def test_incremental_term_is_not_handed_on(self):
+        # an IncrementalMap goes on changing its trackers
+        inc = IncrementalMap()
+        for d in (1, 2, 3):
+            inc.insert(d)
+        inc.link(d0, 1, 2)
+        m = inc.term()
+        idx = build_index(m)
+        assert idx.chains is not inc.chains
+        inc.link(d0, 2, 3)
+        inc.link(d1, 3, 1)
+        self._assert_equal(idx, build_index(m), m)
 
 
 class TestSwapOracle:

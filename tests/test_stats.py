@@ -350,15 +350,19 @@ class TestIncrementalMap:
         assert not inc.same_face(9, 1)
         assert not inc.same_face(1, 9)
 
-    @pytest.mark.parametrize("walk", ["same_face", "face_members"])
+    @pytest.mark.parametrize("walk", ["same_face", "face_members", "link"])
     def test_broken_face_permutation_fails(self, walk):
-        # 1 -> 2 -> 3 -> 2 never returns to 1: an error, not an endless walk
+        # 1 -> 2 -> 3 -> 2 never returns to 1: an error, not an endless walk.
+        # The 0-link 1 -> 4 walks 1's face for 4, which is not on it
         inc = IncrementalMap()
-        for d in (1, 2, 3):
+        for d in (1, 2, 3, 4):
             inc.insert(d)
         inc.face_next.update({1: 2, 2: 3, 3: 2})
+        walks = {"same_face": lambda: inc.same_face(1, 3),
+                 "face_members": lambda: inc.face_members(1),
+                 "link": lambda: inc.link(d0, 1, 4)}
         with pytest.raises(InternalInvariantError, match="dart 1"):
-            inc.same_face(1, 3) if walk == "same_face" else inc.face_members(1)
+            walks[walk]()
 
     def test_term_round_trip(self, digon):
         *_, inc = _replayed(digon)
