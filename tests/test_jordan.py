@@ -18,8 +18,8 @@ from hmap import (
     InternalInvariantError,
     Link,
     MapError,
-    Void,
     RingItem,
+    Void,
     break_ring,
     build_index,
     candidate_rings,
@@ -661,7 +661,7 @@ class TestHandedOnIndexes:
         build_index(parsed)
         assert replays == [parsed]
         build_index(m1)  # handed on before m2, so replaced
-        assert replays[1:] == [m1] and replays[1] is m1
+        assert len(replays) == 2 and replays[1] is m1
         build_index(m2)
         build_index(m2)  # only the first index adopts
         assert len(replays) == 3 and replays[2] is m2
