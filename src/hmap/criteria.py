@@ -24,27 +24,16 @@ def _require(condition: bool, message: str) -> None:
         raise ConstraintError(message)
 
 
-def _link_splits_face(view, k: Dim, x: Dart, y: Dart) -> bool:
-    """Would linking ``x -> y`` at dimension ``k`` split one face into
-    two?  If not, it merges two faces into one.
-
-    ``view`` is any kernel with ``same_face``: an index, or an
-    :class:`IncrementalMap` before it applies the link.
-    """
-    if _dim(k) == 0:
-        return view.same_face(view.closed_predecessor(_ONE, x), y)
-    return view.same_face(x, view.closed_successor(_ZERO, y))
-
-
-def _link_keeps_planar(view, k: Dim, x: Dart, y: Dart) -> bool:
-    """Planarity is preserved exactly when the link joins two components
-    or splits a face of the common component."""
-    return not view.same_component(x, y) or _link_splits_face(view, k, x, y)
-
-
 def _criterion(idx: HypermapIndex, k: Dim, x: Dart, y: Dart) -> bool:
-    """planar now, and the link either bridges components or splits a face."""
-    return idx.stats.planar and _link_keeps_planar(idx, k, x, y)
+    """Planar now, and the link either joins two components or splits
+    one face into two (else it merges two faces into one)."""
+    if not idx.stats.planar:
+        return False
+    if not idx.same_component(x, y):
+        return True
+    if _dim(k) == 0:
+        return idx.same_face(idx.closed_predecessor(_ONE, x), y)
+    return idx.same_face(x, idx.closed_successor(_ZERO, y))
 
 
 def planar_after_link(m: FreeMap | HypermapIndex, k: Dim, x: Dart, y: Dart) -> bool:

@@ -84,12 +84,13 @@ class FreeMap:
     ``==``, ``hash`` and ``repr`` loop down the ``base`` chain, so terms
     of any depth support them (the dataclass versions recurse once per
     node); they agree with the dataclass versions.  ``_step`` names a
-    step's fields other than ``base``.  A term can be weakly referenced,
-    which is how a generator hands its trackers to the term's first
-    index without keeping the term alive.
+    step's fields other than ``base``.  ``_trackers``, unset on most
+    terms, holds the trackers of a checked build of this very term,
+    which its first index takes (``_keep_trackers``, ``_take_trackers``);
+    copies and pickles leave it behind.
     """
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("_trackers",)
     _step: tuple[str, ...] = ()
 
     def __eq__(self, other: object) -> bool:
@@ -167,6 +168,23 @@ class Link(FreeMap):
 _INSERT_BASE, _INSERT_X = Insert.base.__set__, Insert.x.__set__
 _LINK_BASE, _LINK_K, _LINK_X, _LINK_Y = (
     Link.base.__set__, Link.k.__set__, Link.x.__set__, Link.y.__set__)
+# a frozen term refuses assignment, so its slot is written through the descriptor
+_SET_TRACKERS = FreeMap._trackers.__set__
+
+
+def _keep_trackers(m: FreeMap, chains: tuple[ChainTracker, ChainTracker]) -> FreeMap:
+    """Keep ``chains``, the trackers of a checked build of ``m`` that
+    nothing changes any more, on ``m`` for its first index; returns ``m``."""
+    _SET_TRACKERS(m, chains)
+    return m
+
+
+def _take_trackers(m: FreeMap) -> tuple[ChainTracker, ChainTracker] | None:
+    """The trackers kept on ``m``, which leave it, or None."""
+    chains = getattr(m, "_trackers", None)
+    if chains is not None:
+        _SET_TRACKERS(m, None)
+    return chains
 
 
 def _spine(m: FreeMap) -> tuple[list[Insert | Link], object]:

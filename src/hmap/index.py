@@ -8,7 +8,6 @@ labelled once, so it answers all further queries in O(1).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Collection
 
@@ -24,6 +23,7 @@ from .fmap import (
     InternalInvariantError,
     Void,
     _dim,
+    _take_trackers,
     kernel_of,
 )
 from .unionfind import _union
@@ -130,39 +130,6 @@ class _lazy_view:
         return view
 
 
-# The trackers a generator handed on with the term it returned: (a weak
-# reference to the term, its 0-tracker and 1-tracker), or None.  Every
-# thread shares it; a term that finds another entry replays, and the
-# trackers in it never change, so indexes may share them.
-_handed: tuple[weakref.ref, tuple[ChainTracker, ChainTracker]] | None = None
-
-
-def _hand_on(m: FreeMap, chains: tuple[ChainTracker, ChainTracker]) -> FreeMap:
-    """Keep ``chains``, the trackers of a checked build of ``m`` that
-    nothing changes any more, for the first index of ``m``; returns
-    ``m``.  The entry replaces any earlier one and goes with ``m``."""
-    global _handed
-    _handed = (weakref.ref(m, _drop_handed), chains)
-    return m
-
-
-def _drop_handed(ref: weakref.ref) -> None:
-    global _handed
-    if _handed is not None and _handed[0] is ref:
-        _handed = None
-
-
-def _take_handed(m: FreeMap) -> tuple[ChainTracker, ChainTracker] | None:
-    """The trackers handed on with ``m`` itself, which leave the slot,
-    or None."""
-    global _handed
-    entry = _handed
-    if entry is None or entry[0]() is not m:
-        return None
-    _handed = None
-    return entry[1]
-
-
 class HypermapIndex(ChainKernel):
     """Precomputed views of one well-formed map term.
 
@@ -170,13 +137,13 @@ class HypermapIndex(ChainKernel):
     when given, the caller's promise that it is the 0-tracker and the
     1-tracker of checked replays of ``m``'s steps (only the exhaustive
     sweep gives them); else those that ``random_planar_map`` or
-    ``random_map`` handed on when it returned ``m`` itself, for the
-    first index of ``m`` only; else those of ``kernel_of(m)`` (MapError
-    on a term that is not well formed).  Its chains answer the
-    explicit links, the closures, the face successors and the
-    construction preconditions on the indexed map, and ``closure[k]`` is
-    the closure permutation of dimension ``k``: the tracker's own dict,
-    shared and not copied, so it is read-only.
+    ``random_map`` kept on ``m``, which the first index of ``m`` takes;
+    else those of ``kernel_of(m)`` (MapError on a term that is not well
+    formed).  Its chains answer the explicit links, the closures, the
+    face successors and the construction preconditions on the indexed
+    map, and ``closure[k]`` is the closure permutation of dimension
+    ``k``: the tracker's own dict, shared and not copied, so it is
+    read-only.
     Built with it are what ``stats`` counts: the sorted ``darts``,
     ``face_perm`` as a permutation dict, and the labellings ``face_ids``
     and ``component_ids``, each orbit labelled by its least dart.  Built
@@ -193,7 +160,7 @@ class HypermapIndex(ChainKernel):
     def __init__(self, m: FreeMap, *,
                  chains: tuple[ChainTracker, ChainTracker] | None = None) -> None:
         if chains is None:
-            chains = _take_handed(m) or kernel_of(m).chains
+            chains = _take_trackers(m) or kernel_of(m).chains
         self._adopt(chains)
         ch0, ch1 = self.chains
         cp0, cp1 = ch0.closed_pred, ch1.closed_pred

@@ -33,10 +33,10 @@ from .fmap import (
     Link,
     MapError,
     Void,
+    _keep_trackers,
 )
 from .index import (
     HypermapIndex,
-    _hand_on,
     build_index,
     count_components,
     ensure_index,
@@ -118,9 +118,9 @@ def random_map(seed: int, n_darts: int, n_link_attempts: int) -> FreeMap:
     link attempts, keeping those that meet the link preconditions.
 
     Each attempt draws its dimension and its two darts uniformly.
-    ConstraintError on a negative count.  The trackers of the build are
-    handed on with the term: the first index of the returned term
-    adopts them and replays nothing (see ``HypermapIndex``)."""
+    ConstraintError on a negative count.  The term keeps the trackers
+    of the build for its first index, which replays nothing (see
+    ``HypermapIndex``)."""
     if n_darts < 0:
         raise ConstraintError(f"dart count {n_darts} is negative")
     if n_link_attempts < 0:
@@ -143,7 +143,7 @@ def random_map(seed: int, n_darts: int, n_link_attempts: int) -> FreeMap:
                 y = bits(nb) + 1
             if link_violation(k, x, y) is None:
                 link(k, x, y)
-    return _hand_on(inc.term(), inc.chains)
+    return _keep_trackers(inc.term(), inc.chains)
 
 
 def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
@@ -166,8 +166,7 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
     The term is a fixed function of ``(seed, n_darts, n_links)``, drawn
     from a ``random.Random`` seeded with ``seed``; the test suite pins
     the terms of a set of triples by their digest.  As in ``random_map``,
-    the first index of the returned term adopts the trackers of the
-    build instead of replaying the term.
+    the term keeps the trackers of the build for its first index.
     """
     if n_darts < 0:
         raise ConstraintError(f"dart count {n_darts} is negative")
@@ -182,7 +181,7 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
     for d in range(1, n_darts + 1):
         inc.insert(d)
     if n_links == 0:
-        return _hand_on(inc.term(), inc.chains)
+        return _keep_trackers(inc.term(), inc.chains)
 
     rand, bits, nb = rng.random, rng.getrandbits, n_darts.bit_length()
     parent, face_next = inc.components, inc.face_next
@@ -234,7 +233,7 @@ def random_planar_map(seed: int, n_darts: int, n_links: int) -> FreeMap:
             placed += 1
             if placed == n_links:
                 break
-    return _hand_on(inc.term(), inc.chains)
+    return _keep_trackers(inc.term(), inc.chains)
 
 
 # ---------------------------------------------------------------------------

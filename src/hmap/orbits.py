@@ -34,11 +34,15 @@ class Orbit:
 
 
 def _perm_of(idx: HypermapIndex, kind: OrbitKind) -> dict[Dart, Dart]:
+    """The permutation whose cycles are the ``kind`` orbits; TypeError
+    for a value that is neither the edge, vertex nor face kind."""
     if kind is OrbitKind.edge:
         return idx.closure[0]
     if kind is OrbitKind.vertex:
         return idx.closure[1]
-    return idx.face_perm
+    if kind is OrbitKind.face:
+        return idx.face_perm
+    raise TypeError(f"not an orbit kind: {kind!r}")
 
 
 def orbit(m: FreeMap | HypermapIndex, kind: OrbitKind, z: Dart) -> Orbit:
@@ -80,6 +84,8 @@ def same_orbit(m: FreeMap | HypermapIndex, kind: OrbitKind, a: Dart, b: Dart) ->
 
     Total: false whenever either dart does not exist.
     """
+    if not isinstance(kind, OrbitKind):
+        raise TypeError(f"not an orbit kind: {kind!r}")
     return _same(getattr(ensure_index(m), f"{kind.value}_ids"), a, b)
 
 

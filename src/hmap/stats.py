@@ -26,7 +26,6 @@ from .fmap import (
     _ZERO,
     history,
 )
-from .criteria import _link_keeps_planar, _link_splits_face
 from .index import HypermapIndex, MapStats, _cycle, ensure_index
 from .unionfind import _find, _union
 
@@ -203,12 +202,8 @@ class IncrementalMap(ChainKernel):
     # The kernel's link check, bound in this class body as well, so that
     # the class lists it as its own method: per-class instrumentation
     # (such as the benchmark's tracer) sees every link attempt, since
-    # the inherited can_link and require_link call it too.  The
-    # criteria's face-split and planarity-preservation tests are bound
-    # the same way.
+    # the inherited can_link and require_link call it too.
     link_violation = ChainKernel.link_violation
-    link_splits_face = _link_splits_face
-    link_keeps_planar = _link_keeps_planar
 
     def insert(self, x: Dart) -> None:
         self.add_dart(x)

@@ -1,8 +1,9 @@
 """Ring-break law, its two lemmas, generators, search, fuzz, enumeration."""
 
-import gc
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 from collections import Counter
 from math import factorial
@@ -42,7 +43,7 @@ from hmap import (
     serialize_map,
     tail_is_ring_after_first_break,
 )
-from hmap import index, jordan
+from hmap import jordan
 from hmap.cli import run_cli
 from hmap.fmap import LINK_REFUSALS, ChainKernel, kernel_of
 from hmap.index import HypermapIndex, _lazy_view, count_components
@@ -626,9 +627,9 @@ def replays(monkeypatch):
 
 
 class TestHandedOnIndexes:
-    """The generators hand their trackers to the first index of the term
-    they return; that index must equal one of a replay, and any other
-    term, or a second index, must still replay."""
+    """The generators keep their trackers on the term they return, for
+    its first index; that index must equal one of a replay, and any
+    other term, or a second index, must still replay."""
 
     SLOTS = TestSweepIndexes.SLOTS
 
@@ -652,28 +653,38 @@ class TestHandedOnIndexes:
                                (make.__name__, args))
             replays.clear()
 
-    def test_only_the_returned_term_skips_its_replay(self, replays):
+    def test_every_generated_term_skips_its_first_replay(self, replays):
         fuzz_jordan(25, 0, 48)
         assert replays == []
-        m1 = random_planar_map(1, 30, 40)
-        m2 = random_planar_map(2, 30, 40)
-        parsed = parse_map(serialize_map(m2))
-        build_index(parsed)
-        assert replays == [parsed]
-        build_index(m1)  # handed on before m2, so replaced
-        assert len(replays) == 2 and replays[1] is m1
-        build_index(m2)
-        build_index(m2)  # only the first index adopts
-        assert len(replays) == 3 and replays[2] is m2
+        made = [random_planar_map(s, 30, 40) for s in range(4)]
+        made += [random_map(s, 12, 30) for s in range(3)] + [random_map(0, 0, 5)]
+        for i in (5, 0, 3, 7, 1, 6, 2, 4):  # not the order they were made in
+            build_index(made[i])
+        assert replays == []
+
+    def test_only_the_returned_term_skips_its_replay(self, replays):
+        m = random_planar_map(1, 30, 40)
+        copies = [copy.copy(m), pickle.loads(pickle.dumps(m))]
+        idx = build_index(m)
+        assert replays == []
+        ring = find_ring(idx, 4, 1)
+        assert ring is not None
+        derived = [*copies, m, parse_map(serialize_map(m)), break_ring(m, ring)]
+        assert replays == []
+        for term in derived:
+            build_index(term)
+            assert len(replays) == 1 and replays[0] is term, term
+            replays.clear()
+        assert derived[:2] == [m, m]
 
     def test_the_slot_goes_with_its_term(self):
         m = random_planar_map(1, 30, 40)
-        assert index._handed is not None and index._handed[0]() is m
-        del m
-        gc.collect()
-        assert index._handed is None
+        assert m._trackers is not None
+        idx = build_index(m)
+        assert m._trackers is None  # the term keeps no trackers past its index
+        assert idx.chains[0].succ
 
-    def test_incremental_term_is_not_handed_on(self):
+    def test_incremental_term_is_not_handed_on(self, replays):
         # an IncrementalMap goes on changing its trackers
         inc = IncrementalMap()
         for d in (1, 2, 3):
@@ -681,6 +692,7 @@ class TestHandedOnIndexes:
         inc.link(d0, 1, 2)
         m = inc.term()
         idx = build_index(m)
+        assert replays == [m]
         assert idx.chains is not inc.chains
         inc.link(d0, 2, 3)
         inc.link(d1, 3, 1)

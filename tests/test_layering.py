@@ -22,6 +22,10 @@ the unbroken term: ``jordan_check`` and ``exhaustive_jordan`` build no
 broken term, so neither calls ``break_ring``.
 
 The generators reach ``random.Random`` through its public methods only.
+
+A generator keeps its trackers on the term it returns, in the term's own
+``_trackers`` slot, which only ``fmap`` names: no module-level state is
+rebound (no ``global`` statement) and nothing is weakly referenced.
 """
 
 import ast
@@ -144,3 +148,21 @@ def test_generators_use_public_random_api_only():
     offenders = {p.name: _attribute_reads(p, private)
                  for p in sorted(SRC.glob("*.py"))}
     assert {name: reads for name, reads in offenders.items() if reads} == {}
+
+
+def _names_the_tracker_slot(path: Path) -> bool:
+    return any(isinstance(node, ast.Attribute) and node.attr == "_trackers"
+               or isinstance(node, ast.Constant) and node.value == "_trackers"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_only_fmap_writes_the_tracker_slot_and_no_module_state_is_rebound():
+    modules = sorted(SRC.glob("*.py"))
+    assert [p.name for p in modules if _names_the_tracker_slot(p)] == ["fmap.py"]
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            assert not isinstance(node, ast.Global), (path.name, node.lineno)
+            if isinstance(node, ast.Import):
+                assert "weakref" not in {a.name for a in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "weakref", path.name

@@ -65,6 +65,17 @@ def test_orbit_missing_dart(fixture15):
         orbit(fixture15, OrbitKind.edge, 99)
 
 
+@pytest.mark.parametrize("kind", ["edge", "vertex", "face", "component", 0, None])
+def test_a_kind_that_is_not_an_orbit_kind_raises(kind):
+    # a string naming a kind once fell through to the face permutation
+    m = make_map([1, 2, 3], [(Dim.zero, 1, 2), (Dim.one, 2, 3)])
+    for call in (lambda: orbit(m, kind, 1), lambda: all_orbits(m, kind),
+                 lambda: same_orbit(m, kind, 1, 2)):
+        with pytest.raises(TypeError, match=f"^not an orbit kind: {kind!r}$"):
+            call()
+    assert orbit(m, OrbitKind.edge, 1).members == (1, 2)
+
+
 def test_component_orbit(fixture15):
     orb = orbit(fixture15, OrbitKind.component, 14)
     assert orb.members == (14, 15)

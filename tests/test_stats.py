@@ -21,6 +21,7 @@ from hmap import (
     genus,
     is_planar,
     make_map,
+    planar_after_link,
     planar_from_break,
 )
 from hmap.fmap import INSERT_REFUSALS, ChainKernel, Insert, Link, history, well_formed_violation
@@ -227,8 +228,13 @@ class TestIncrementalMap:
         inc.link(d1, 4, 1)
         inc.link(d0, 1, 2)
         assert sorted(inc.face_members(1)) == [1, 2, 3, 4]
-        assert inc.link_splits_face(d0, 3, 4)
+        # planar and connected, so the link keeps the map planar exactly
+        # when it splits the face
+        idx = build_index(inc.term())
+        assert idx.stats.planar and idx.same_component(3, 4)
+        assert planar_after_link(idx, d0, 3, 4)
         inc.link(d0, 3, 4)
+        assert inc.n_faces == idx.stats.n_faces + 1
         assert sorted(inc.face_members(1)) == [1, 3]
         assert sorted(inc.face_members(2)) == [2, 4]
 
@@ -236,15 +242,19 @@ class TestIncrementalMap:
         inc = IncrementalMap()
         inc.insert(1)
         inc.insert(2)
-        assert not inc.link_splits_face(d0, 1, 2)
-        inc.link(d0, 1, 2)
+        assert inc.n_faces == 2
+        inc.link(d0, 1, 2)  # joins the faces of two lone darts
         assert inc.n_faces == 1
+        assert inc.stats() == counts(inc.term())
 
     def test_link_keeps_planar_cross_component(self):
         inc = IncrementalMap()
         inc.insert(1)
         inc.insert(2)
-        assert inc.link_keeps_planar(d0, 1, 2)
+        assert planar_after_link(build_index(inc.term()), d0, 1, 2)
+        inc.link(d0, 1, 2)  # a bridge: one component, still planar
+        assert inc.n_components == 1
+        assert inc.stats().planar
 
     def test_insert_violations(self):
         inc = IncrementalMap()
