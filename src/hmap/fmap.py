@@ -83,11 +83,12 @@ class FreeMap:
 
     ``==``, ``hash`` and ``repr`` loop down the ``base`` chain, so terms
     of any depth support them (the dataclass versions recurse once per
-    node); they agree with the dataclass versions.  ``_step`` names a
-    step's fields other than ``base``.  ``_trackers``, unset on most
-    terms, holds the trackers of a checked build of this very term,
-    which its first index takes (``_keep_trackers``, ``_take_trackers``);
-    copies and pickles leave it behind.
+    node); they agree with the dataclass versions.  So do copies and
+    pickles, which reduce a term to its steps and rebuild it in a loop.
+    ``_step`` names a step's fields other than ``base``.  ``_trackers``,
+    unset on most terms, holds the trackers of a checked build of this
+    very term, which its first index takes (``_keep_trackers``,
+    ``_take_trackers``); copies and pickles leave it behind.
     """
 
     __slots__ = ("_trackers",)
@@ -124,6 +125,10 @@ class FreeMap:
             parts.extend(f", {f}={getattr(node, f)!r}" for f in node._step)
             parts.append(")")
         return "".join(parts)
+
+    def __reduce__(self) -> tuple[Callable[..., FreeMap], tuple]:
+        steps = tuple(tuple(getattr(n, f) for f in n._step) for n in history(self))
+        return _rebuild, (steps,)
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -185,6 +190,16 @@ def _take_trackers(m: FreeMap) -> tuple[ChainTracker, ChainTracker] | None:
     if chains is not None:
         _SET_TRACKERS(m, None)
     return chains
+
+
+def _rebuild(steps: tuple[tuple, ...]) -> FreeMap:
+    """The term of ``steps``, innermost first, each ``(x,)`` for an
+    insert or ``(k, x, y)`` for a link: what a copy or a pickle of a
+    term rebuilds."""
+    m: FreeMap = Void()
+    for step in steps:
+        m = Insert(m, *step) if len(step) == 1 else Link(m, *step)
+    return m
 
 
 def _spine(m: FreeMap) -> tuple[list[Insert | Link], object]:

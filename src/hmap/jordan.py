@@ -517,9 +517,9 @@ def _maps(max_darts: int) -> Iterator[tuple[FreeMap, tuple[ChainTracker, ChainTr
     dart set, which every replay here shares, so the whole term replays
     cleanly and its trackers equal this pair.  Maps share the trackers,
     so none may change.  The maps of one 0-system come in one block that
-    shares its 0-tracker, and the 1-closures of a block number at most
-    ``n!``, one per permutation of the darts; ``exhaustive_jordan``
-    relies on both.
+    shares its 0-tracker, so ``exhaustive_jordan`` keeps the rings of
+    one block's 1-closures only: at most ``n!``, one per permutation of
+    the darts.
     """
     for n in range(max_darts + 1):
         base: FreeMap = Void()
@@ -577,13 +577,14 @@ def exhaustive_jordan(max_darts: int, max_ring_len: int) -> ExhaustiveReport:
     Maps of at most 5 darts hold rings of 1 and 2 items only, so there a
     cap of 3 or more never binds.
 
-    Each map's index adopts the trackers ``_maps`` gives it, shared with
-    other maps, so these indexes stay inside this function.  In the block
-    of maps of one 0-tracker only the first map of each 1-closure is
-    labelled; the others take its tables by ``HypermapIndex.recut``, so
-    at most ``n!`` indexes live at once on ``n`` darts.  Every map is
-    still searched, ring-checked and recounted on its own index and term,
-    the recount as in ``jordan_check``: no broken term is built.
+    The maps of one 0-tracker and one 1-closure have one index but for
+    the term: the same darts, faces and components, and the same
+    ``double_links``, the one table the ring search and ``check_ring``
+    read.  So the first map of each such pair is indexed, on the
+    trackers ``_maps`` gives it, and its rings are searched and checked
+    once; every map of the pair, the first included, is credited with
+    those rings and recounts each valid one on its own term, as in
+    ``jordan_check``: no broken term is built.
     """
     if max_darts < 0:
         raise ConstraintError(f"dart count {max_darts} is negative")
@@ -592,31 +593,35 @@ def exhaustive_jordan(max_darts: int, max_ring_len: int) -> ExhaustiveReport:
     report = ExhaustiveReport()
     by_length = report.rings_by_length
     closures: dict[ChainTracker, tuple] = {}  # each 1-tracker's closure, as a key
-    firsts: dict[tuple, HypermapIndex] = {}  # the block's first index of each closure
+    # per 1-closure in the block of one 0-tracker: the component count and
+    # each ring's (length, validity, 0-darts), or None on a map not planar
+    pairs: dict[tuple, tuple[int, list[tuple[int, bool, set[Dart]]] | None]] = {}
     zero: ChainTracker | None = None
     for m, chains in _maps(max_darts):
         report.maps_seen += 1
         if chains[0] is not zero:
             zero = chains[0]
-            firsts.clear()
+            pairs.clear()
         alpha1 = closures.get(chains[1])
         if alpha1 is None:
             alpha1 = closures[chains[1]] = tuple(sorted(chains[1].closed_succ.items()))
-        first = firsts.get(alpha1)
-        if first is None:
-            idx = firsts[alpha1] = HypermapIndex(m, chains=chains)
-        else:
-            idx = first.recut(m, chains)
-        if not idx.stats.planar:
+        pair = pairs.get(alpha1)
+        if pair is None:
+            idx = HypermapIndex(m, chains=chains)
+            rings = None
+            if idx.stats.planar:
+                rings = [(len(ring), check_ring(idx, ring).valid, {it.x for it in ring})
+                         for ring in candidate_rings(idx, max_ring_len)]
+            pair = pairs[alpha1] = (idx.stats.n_components, rings)
+        nc_before, rings = pair
+        if rings is None:
             continue
         report.planar_maps += 1
-        nc_before = idx.stats.n_components
-        for ring in candidate_rings(idx, max_ring_len):
+        for n, valid, darts in rings:
             report.rings_checked += 1
-            by_length[len(ring)] = by_length.get(len(ring), 0) + 1
-            if not check_ring(idx, ring).valid:
+            by_length[n] = by_length.get(n, 0) + 1
+            if not valid:
                 report.ring_soundness_failures += 1
-                continue
-            if count_components(m, {it.x for it in ring}) != nc_before + 1:
+            elif count_components(m, darts) != nc_before + 1:
                 report.delta_failures += 1
     return report

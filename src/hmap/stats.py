@@ -26,7 +26,7 @@ from .fmap import (
     _ZERO,
     history,
 )
-from .index import HypermapIndex, MapStats, _cycle, ensure_index
+from .index import HypermapIndex, MapStats, ensure_index
 from .unionfind import _find, _union
 
 __all__ = [
@@ -173,19 +173,11 @@ class IncrementalMap(ChainKernel):
         return (a in self.dart_set and b in self.dart_set
                 and _find(self.components, a) == _find(self.components, b))
 
-    def same_face(self, a: Dart, b: Dart) -> bool:
-        """Walk a's face cycle looking for b; linear in the face size."""
-        if a not in self.dart_set or b not in self.dart_set:
-            return False
-        return b in _cycle(self.face_next, a)
-
-    def face_members(self, z: Dart) -> list[Dart]:
-        return _cycle(self.face_next, z)
-
     def _face_reaches(self, a: Dart, b: Dart) -> bool:
         """Whether the walk of a's face from ``a`` meets ``b`` before it
         returns to ``a``.  A walk that does neither in one step per dart
-        means ``face_next`` is not a permutation, an error as in ``_cycle``."""
+        means ``face_next`` is not a permutation, an error as in
+        :func:`hmap.index._cycle`."""
         face_next = self.face_next
         z = a
         for _ in range(len(face_next)):

@@ -1,7 +1,9 @@
 """Term constructors, observers, preconditions, and destructors."""
 
+import copy
 import dataclasses
 import inspect
+import pickle
 import random
 import warnings
 
@@ -113,6 +115,19 @@ class TestTermIdentity:
         # differs only in its innermost link, ~20,000 steps down
         first = next(n for n in history(m) if isinstance(n, Link))
         assert break_link_back(m, first.k, first.y) != m
+
+    @pytest.mark.parametrize("clone", [
+        lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"])
+    def test_deep_terms_copy_and_pickle(self, clone):
+        # each rebuilds the term in a loop, not once per node down ``base``,
+        # and leaves behind the trackers a generated term keeps
+        m = random_planar_map(1, 3000, 6000)
+        for term in (Void(), m):
+            got = clone(term)
+            assert got == term and got is not term
+            assert getattr(got, "_trackers", None) is None
+        assert m._trackers is not None
 
 
 class TestHasDart:

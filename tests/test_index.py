@@ -4,6 +4,7 @@ recursive observers everywhere."""
 import dataclasses
 import inspect
 import random
+from collections import Counter
 
 import pytest
 
@@ -181,26 +182,30 @@ def test_count_components_matches_index_on_all_small_maps():
 
 def test_count_components_matches_index_on_every_ring_break_recount(monkeypatch):
     # each sweep recount walks the unbroken term without the ring's
-    # 0-links; it must count the components of the term break_ring builds
-    rings, recounts = [], []
-
-    def searched(idx, max_len):
-        for ring in candidate_rings(idx, max_len):
-            rings.append(ring)
-            yield ring
+    # 0-links.  The dart sets recounted on a map must be those of its own
+    # rings, though the sweep searches the rings of a closure pair once,
+    # and each recount must count the components of the term break_ring
+    # builds
+    recounts: dict = {}
 
     def checked(m, broken=()):
         n = count_components(m, broken)
-        ring = rings[-1]
-        assert set(broken) == {it.x for it in ring}, (m, ring)
-        assert n == build_index(break_ring(m, ring)).stats.n_components, (m, ring)
-        recounts.append(n)
+        recounts.setdefault(m, Counter())[frozenset(broken), n] += 1
         return n
 
-    monkeypatch.setattr(jordan, "candidate_rings", searched)
     monkeypatch.setattr(jordan, "count_components", checked)
     report = exhaustive_jordan(4, 3)
-    assert report.passed and 0 < len(recounts) == len(rings) == report.rings_checked
+    assert report.passed
+    rings = 0
+    for m in enumerate_maps(4):
+        idx = build_index(m)
+        want = Counter()
+        for ring in candidate_rings(idx, 3) if idx.stats.planar else ():
+            broken = build_index(break_ring(m, ring)).stats.n_components
+            want[frozenset(it.x for it in ring), broken] += 1
+            rings += 1
+        assert recounts.pop(m, Counter()) == want, m
+    assert not recounts and 0 < rings == report.rings_checked
 
 
 def test_count_components_leaves_out_only_0_links():
@@ -411,50 +416,11 @@ def test_double_links_equal_the_observer_oracle_on_planar_maps(seed, n):
     _assert_double_links_match_oracle(random_planar_map(seed, n, 2 * n))
 
 
-LAZY_VIEWS = tuple(name for name, attr in vars(HypermapIndex).items()
-                   if isinstance(attr, index._lazy_view))
-INDEX_SLOTS = tuple(name for name in HypermapIndex.__slots__ if name != "__dict__") + LAZY_VIEWS
-
-
-def test_recut_equals_build_index_across_every_cut():
-    # the first map of each closure pair, with every view read, is recut
-    # to each map of the pair, whose trackers may differ in either
-    # dimension; only views read from the same tracker may be shared
-    assert set(LAZY_VIEWS) == {"edge_ids", "vertex_ids", "double_links"}
-    firsts: dict[tuple, HypermapIndex] = {}
-    maps = 0
-    for m, chains in jordan._maps(4):
-        key = tuple(tuple(sorted(ch.closed_succ.items())) for ch in chains)
-        first = firsts.get(key)
-        if first is None:
-            first = firsts[key] = HypermapIndex(m, chains=chains)
-            for name in LAZY_VIEWS:
-                getattr(first, name)
-        cut = first.recut(m, chains)
-        assert cut.term is m and cut.chains is chains
-        assert cut.closure == tuple(ch.closed_succ for ch in chains)
-        same = {"edge_ids": chains[0] is first.chains[0],
-                "vertex_ids": chains[1] is first.chains[1],
-                "double_links": chains[0] is first.chains[0]}
-        assert {name: name in vars(cut) for name in LAZY_VIEWS} == same, m
-        built = build_index(m)
-        for slot in INDEX_SLOTS:
-            assert getattr(cut, slot) == getattr(built, slot), (m, slot)
-        maps += 1
-    assert len(firsts) == 618 and maps == 5509
-
-
-def test_recut_refuses_trackers_of_other_closures():
-    two = Insert(Insert(Void(), 1), 2)
-    idx = build_index(two)
-    for k in (0, 1):
-        other = Link(two, Dim(k), 1, 2)
-        with pytest.raises(InternalInvariantError, match=f"recut to a {k}-tracker"):
-            idx.recut(other, kernel_of(other).chains)
-    # a cut of the same closures is taken
-    edge, back = Link(two, d0, 1, 2), Link(two, d0, 2, 1)
-    cut = build_index(edge).recut(back, kernel_of(back).chains)
-    assert cut.term is back and cut.edge_ids == {1: 2, 2: 2}
+def test_cycle_refuses_a_table_that_never_returns():
+    # 1 -> 2 -> 2: the walk from 1 never comes back
+    with pytest.raises(InternalInvariantError, match="dart 1 does not return"):
+        index._cycle({1: 2, 2: 2}, 1)
+    assert index._cycle({1: 2, 2: 1}, 2) == [2, 1]
 
 
 def test_unknown_attribute_still_raises():

@@ -553,22 +553,21 @@ class TestSweepIndexes:
         assert terms == list(enumerate_maps(4)) and len(terms) == 5509
 
     def test_sweep_searches_indexes_equal_to_build_index(self, monkeypatch):
-        # the sweep's own path: each index its ring search gets, built or
-        # recut, must equal one replay's on every slot and every view
+        # the sweep's own path: each index its ring search gets must equal
+        # one replay's on every slot and every view
         calls = Counter()
-        init, recut = HypermapIndex.__init__, HypermapIndex.recut
+        init, check = HypermapIndex.__init__, jordan.check_ring
 
         def counted_init(idx, *args, **kwargs):
             calls["__init__"] += 1
             init(idx, *args, **kwargs)
 
-        def counted_recut(idx, *args):
-            calls["recut"] += 1
-            return recut(idx, *args)
+        def counted_check(idx, ring):
+            calls["checked"] += 1
+            return check(idx, ring)
 
         def searched(idx, max_len):
             calls["searched"] += 1
-            calls["shared"] += "double_links" in vars(idx)
             built = build_index(idx.term)
             for slot in self.SLOTS:
                 assert getattr(idx, slot) == getattr(built, slot), (idx.term, slot)
@@ -578,24 +577,25 @@ class TestSweepIndexes:
             return candidate_rings(idx, max_len)
 
         monkeypatch.setattr(HypermapIndex, "__init__", counted_init)
-        monkeypatch.setattr(HypermapIndex, "recut", counted_recut)
+        monkeypatch.setattr(jordan, "check_ring", counted_check)
         monkeypatch.setattr(jordan, "candidate_rings", searched)
         report = exhaustive_jordan(4, 3)
         assert report.summary() == (
             "maps=5509 planar=4171 rings=5584 delta_failures=0 "
             "soundness_failures=0 verdict=pass")
-        # one index per map; each searched one's reference build adds one
-        # more: sum of systems(n) * n! labellings, the rest recut
-        assert calls["searched"] == report.planar_maps
-        assert calls["__init__"] - calls["searched"] == 1 + 1 + 3 * 2 + 13 * 6 + 73 * 24 == 1838
-        assert calls["recut"] == report.maps_seen - 1838 == 3671
-        # a recut index of a planar map finds its double-links built
-        assert 0 < calls["shared"] < calls["searched"]
+        # one index per 0-system and 1-closure, sum of systems(n) * n!;
+        # each searched one's reference build adds one more.  The planar
+        # ones are searched and their rings checked once for every map
+        # of their closure pair
+        builds = calls["__init__"] - calls["searched"]
+        assert builds == 1 + 1 + 3 * 2 + 13 * 6 + 73 * 24 == 1838
+        assert (calls["searched"], calls["checked"]) == (1472, 2392)
 
     def test_closure_level_tables_depend_on_the_closures_only(self):
-        # the premise of recut, by build_index alone: maps with one pair
-        # of closures have one darts, faces, components and stats, and
-        # those that also share their 0-links have one double_links table
+        # the premise of the sweep's grouping, by build_index alone: maps
+        # with one pair of closures have one darts, faces, components and
+        # stats, and those that also share their 0-links have one
+        # double_links table, all that the ring search and check read
         groups: dict[tuple, list[HypermapIndex]] = {}
         for m in enumerate_maps(4):
             idx = build_index(m)

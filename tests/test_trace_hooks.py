@@ -2,9 +2,8 @@
 
 ``hmapbench/tracer.py`` wraps ``hmap`` from outside by name: every public
 function of the modules it lists (``hmap.unionfind`` among them), every
-public method of ``HypermapIndex`` and ``IncrementalMap`` (``recut`` among
-them), and a hook on ``HypermapIndex.__init__`` that reads the new index's
-``darts``.  A
+public method of ``HypermapIndex`` and ``IncrementalMap``, and a hook on
+``HypermapIndex.__init__`` that reads the new index's ``darts``.  A
 refactor of ``hmap`` can break ``run.py --trace 1`` without any other
 test noticing; this runs the tracer on one small sweep.
 """
@@ -12,6 +11,7 @@ test noticing; this runs the tracer on one small sweep.
 import importlib
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "hmapbench"
@@ -46,13 +46,15 @@ def test_tracer_counts_a_sweep_and_restores_hmap():
 
     assert report.passed and report.maps_seen == 180
     metrics = tracer.metrics(1, busy, 1.0)
-    # one labelling per 0-system and 1-closure, 1 + 1 + 3 * 2 + 13 * 6;
-    # every other map's index is a recut of one of these
-    recuts = sum(tracer.names[nid] == "HypermapIndex.recut" for nid in tracer.span_name)
-    assert (metrics["index.builds"][0], recuts) == (86, 94)
-    assert metrics["index.builds"][0] + recuts == report.maps_seen
-    # one ring check per ring; the law check builds no broken term
-    assert metrics["rings.checks"][0] == report.rings_checked == 136
+    # one index per 0-system and 1-closure, 1 + 1 + 3 * 2 + 13 * 6; the
+    # planar ones are searched and their rings checked once
+    spans = Counter(tracer.names[nid] for nid in tracer.span_name)
+    assert metrics["index.builds"][0] == 86
+    assert (spans["candidate_rings"], metrics["rings.checks"][0]) == (80, 88)
+    assert "HypermapIndex.recut" not in spans
+    # each map recounts every ring of its pair on its own term, and the
+    # law check builds no broken term
+    assert spans["count_components"] == report.rings_checked == 136
     assert metrics["rings.breaks"][0] == 0
     assert after.keys() == before.keys()
     assert all(after[key] is obj for key, obj in before.items())
