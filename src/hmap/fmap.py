@@ -83,12 +83,14 @@ class FreeMap:
 
     ``==``, ``hash`` and ``repr`` loop down the ``base`` chain, so terms
     of any depth support them (the dataclass versions recurse once per
-    node); they agree with the dataclass versions.  So do copies and
-    pickles, which reduce a term to its steps and rebuild it in a loop.
+    node); they agree with the dataclass versions on terms.  A chain
+    that ends in anything but ``Void``, as a bare ``FreeMap()`` does, is
+    no term: it equals only a chain with that very bottom.  Copies and
+    pickles reduce a term to its steps and rebuild it in a loop.
     ``_step`` names a step's fields other than ``base``.  ``_trackers``,
     unset on most terms, holds the trackers of a checked build of this
-    very term, which its first index takes (``_keep_trackers``,
-    ``_take_trackers``); copies and pickles leave it behind.
+    very term, which its first kernel takes (``_keep_trackers``,
+    ``ChainKernel._adopt``); copies and pickles leave it behind.
     """
 
     __slots__ = ("_trackers",)
@@ -102,7 +104,7 @@ class FreeMap:
             if a.__class__ is not b.__class__:
                 return False
             if not isinstance(a, (Insert, Link)):
-                return isinstance(a, Void) or a == b
+                return isinstance(a, Void)
             for f in a._step:
                 if getattr(a, f) != getattr(b, f):
                     return False
@@ -111,7 +113,7 @@ class FreeMap:
 
     def __hash__(self) -> int:
         steps, bottom = _spine(self)
-        h = hash(()) if isinstance(bottom, Void) else hash(bottom)
+        h = hash(()) if isinstance(bottom, Void) else id(bottom)
         for node in reversed(steps):
             h = hash((h, *[getattr(node, f) for f in node._step]))
         return h
@@ -119,7 +121,7 @@ class FreeMap:
     def __repr__(self) -> str:
         steps, bottom = _spine(self)
         parts = [f"{type(node).__qualname__}(base=" for node in steps]
-        parts.append(f"{type(bottom).__qualname__}()" if isinstance(bottom, Void)
+        parts.append(f"{type(bottom).__qualname__}()" if isinstance(bottom, FreeMap)
                      else repr(bottom))
         for node in reversed(steps):
             parts.extend(f", {f}={getattr(node, f)!r}" for f in node._step)
@@ -179,7 +181,8 @@ _SET_TRACKERS = FreeMap._trackers.__set__
 
 def _keep_trackers(m: FreeMap, chains: tuple[ChainTracker, ChainTracker]) -> FreeMap:
     """Keep ``chains``, the trackers of a checked build of ``m`` that
-    nothing changes any more, on ``m`` for its first index; returns ``m``."""
+    nothing changes any more, on ``m`` for its first index
+    (``ChainKernel._adopt``); returns ``m``."""
     _SET_TRACKERS(m, chains)
     return m
 
@@ -430,10 +433,10 @@ class ChainKernel:
     in linear time.  Every step is checked: the first whose precondition
     fails raises ConstraintError naming it, so the constructor is the
     well-formedness check.  :class:`hmap.index.HypermapIndex` is orbit
-    labels on a kernel that adopts (``_adopt``) the trackers of checked
-    replays of its term (see its ``chains``), so trackers exist only for
-    a well-formed term.  :class:`hmap.stats.IncrementalMap` is an empty
-    kernel that keeps its counts current.
+    labels on a kernel that adopts (``_adopt``) the trackers a checked
+    build kept on its term, or else those of a replay, so trackers exist
+    only for a well-formed term.  :class:`hmap.stats.IncrementalMap` is
+    an empty kernel that keeps its counts current.
     """
 
     __slots__ = ("chains",)
@@ -539,11 +542,12 @@ class ChainKernel:
         c0, c1 = self.chains
         c0.closed_succ[x] = c0.closed_pred[x] = c1.closed_succ[x] = c1.closed_pred[x] = x
 
-    def _adopt(self, chains: tuple[ChainTracker, ChainTracker]) -> None:
-        """Take ``chains``, a 0-tracker and a 1-tracker over one dart
-        set, as this kernel's own: shared, not copied, so no holder of
-        them may change them afterwards."""
-        self.chains = chains
+    def _adopt(self, m: FreeMap) -> None:
+        """Take the trackers a checked build kept on ``m`` as this
+        kernel's own, shared and not copied, which leave ``m``; else
+        those of ``kernel_of(m)`` (MapError on a term that is not well
+        formed)."""
+        self.chains = _take_trackers(m) or kernel_of(m).chains
 
 
 def kernel_of(m: FreeMap) -> ChainKernel:
@@ -654,8 +658,9 @@ def delete_dart(m: FreeMap, x: Dart) -> FreeMap:
 
 def unlink(m: FreeMap, k: Dim, x: Dart) -> FreeMap:
     """Checked ``break_link``; warns when there is nothing to break."""
+    d = _dim(k)  # TypeError unless k is a Dim
     if not has_successor(m, k, x):
-        warnings.warn(f"unlink: dart {x} has no {k.value}-link; map unchanged",
+        warnings.warn(f"unlink: dart {x} has no {d}-link; map unchanged",
                       stacklevel=2)
         return m
     return break_link(m, k, x)
@@ -663,8 +668,9 @@ def unlink(m: FreeMap, k: Dim, x: Dart) -> FreeMap:
 
 def unlink_back(m: FreeMap, k: Dim, y: Dart) -> FreeMap:
     """Checked ``break_link_back``; warns when there is nothing to break."""
+    d = _dim(k)  # TypeError unless k is a Dim
     if not has_predecessor(m, k, y):
-        warnings.warn(f"unlink_back: dart {y} has no incoming {k.value}-link; "
+        warnings.warn(f"unlink_back: dart {y} has no incoming {d}-link; "
                       "map unchanged", stacklevel=2)
         return m
     return break_link_back(m, k, y)

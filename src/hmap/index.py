@@ -23,7 +23,6 @@ from .fmap import (
     InternalInvariantError,
     Void,
     _dim,
-    _take_trackers,
     kernel_of,
 )
 from .unionfind import _union
@@ -133,17 +132,15 @@ class _lazy_view:
 class HypermapIndex(ChainKernel):
     """Precomputed views of one well-formed map term.
 
-    The index adopts the trackers of its term, sharing them: ``chains``
-    when given, the caller's promise that it is the 0-tracker and the
-    1-tracker of checked replays of ``m``'s steps (only the exhaustive
-    sweep gives them); else those that ``random_planar_map`` or
-    ``random_map`` kept on ``m``, which the first index of ``m`` takes;
-    else those of ``kernel_of(m)`` (MapError on a term that is not well
-    formed).  Its chains answer the explicit links, the closures, the
-    face successors and the construction preconditions on the indexed
-    map, and ``closure[k]`` is the closure permutation of dimension
-    ``k``: the tracker's own dict, shared and not copied, so it is
-    read-only.
+    The index adopts the trackers of its term, sharing them
+    (``ChainKernel._adopt``): those that a checked build, as in
+    ``random_planar_map``, ``random_map`` or the exhaustive sweep, kept
+    on ``m``, which the first index of ``m`` takes; else those of
+    ``kernel_of(m)`` (MapError on a term that is not well formed).  Its
+    chains answer the explicit links, the closures, the face successors
+    and the construction preconditions on the indexed map, and
+    ``closure[k]`` is the closure permutation of dimension ``k``: the
+    tracker's own dict, shared and not copied, so it is read-only.
     Built with it are what ``stats`` counts: the sorted ``darts``,
     ``face_perm`` as a permutation dict, and the labellings ``face_ids``
     and ``component_ids``, each orbit labelled by its least dart.  Built
@@ -157,11 +154,8 @@ class HypermapIndex(ChainKernel):
         "__dict__",
     )
 
-    def __init__(self, m: FreeMap, *,
-                 chains: tuple[ChainTracker, ChainTracker] | None = None) -> None:
-        if chains is None:
-            chains = _take_trackers(m) or kernel_of(m).chains
-        self._adopt(chains)
+    def __init__(self, m: FreeMap) -> None:
+        self._adopt(m)
         ch0, ch1 = self.chains
         cp0, cp1 = ch0.closed_pred, ch1.closed_pred
         darts = sorted(ch0.closed_succ)

@@ -476,9 +476,10 @@ def fuzz_jordan(trials: int, seed: int, size_bound: int, *,
 # exhaustive small-scale checking
 
 
-def _path_systems(darts: Sequence[Dart]) -> Iterator[dict[Dart, Dart]]:
-    """All successor assignments forming disjoint open chains: the
-    explicit links one dimension of a well-formed map can carry.
+def _path_systems(darts: Sequence[Dart]) -> Iterator[list[tuple[Dart, Dart]]]:
+    """All sets of disjoint open chains on ``darts``, each as its links
+    ``(x, y)`` sorted: the explicit links one dimension of a well-formed
+    map can carry.
 
     Each dart in turn starts a chain of its own or goes into any
     position of a chain laid out before it, which lays out every set of
@@ -494,7 +495,15 @@ def _path_systems(darts: Sequence[Dart]) -> Iterator[dict[Dart, Dart]]:
                     grown.append(chains[:c] + (chain[:p] + (d,) + chain[p:],) + chains[c + 1:])
         layouts = grown
     for chains in layouts:
-        yield {x: y for chain in chains for x, y in zip(chain, chain[1:])}
+        yield sorted(link for chain in chains for link in zip(chain, chain[1:]))
+
+
+def _systems(n: int) -> tuple[FreeMap, list[list[tuple[Dart, Dart]]]]:
+    """The inserts of darts 1..n, and every link system on those darts."""
+    base: FreeMap = Void()
+    for d in range(1, n + 1):
+        base = Insert(base, d)
+    return base, list(_path_systems(range(1, n + 1)))
 
 
 def _linked(m: FreeMap, k: Dim, links: list[tuple[Dart, Dart]]) -> FreeMap:
@@ -504,46 +513,52 @@ def _linked(m: FreeMap, k: Dim, links: list[tuple[Dart, Dart]]) -> FreeMap:
     return m
 
 
-def _maps(max_darts: int) -> Iterator[tuple[FreeMap, tuple[ChainTracker, ChainTracker]]]:
-    """Every map of :func:`enumerate_maps`, in its order, with the
-    chains its index adopts: the 0-tracker of the checked replay of its
-    inserts and 0-links, and the 1-tracker of that of its inserts and
-    1-links.
-
-    On ``n`` darts a map is the inserts of 1..n, the 0-links of one link
-    system and the 1-links of one, so ``s`` systems make ``s * s`` maps
-    from ``2 * s`` checked replays, one per system and dimension.  A
-    dimension's link rule reads only that dimension's chains and the
-    dart set, which every replay here shares, so the whole term replays
-    cleanly and its trackers equal this pair.  Maps share the trackers,
-    so none may change.  The maps of one 0-system come in one block that
-    shares its 0-tracker, so ``exhaustive_jordan`` keeps the rings of
-    one block's 1-closures only: at most ``n!``, one per permutation of
-    the darts.
-    """
-    for n in range(max_darts + 1):
-        base: FreeMap = Void()
-        for d in range(1, n + 1):
-            base = Insert(base, d)
-        systems = [sorted(s.items()) for s in _path_systems(range(1, n + 1))]
-        ones = [ChainKernel(_linked(base, _ONE, s1)).chains[1] for s1 in systems]
-        for s0 in systems:
-            m0 = _linked(base, _ZERO, s0)
-            zero = ChainKernel(m0).chains[0]
-            for s1, one in zip(systems, ones):
-                yield _linked(m0, _ONE, s1), (zero, one)
-
-
 def enumerate_maps(max_darts: int) -> Iterator[FreeMap]:
     """Every well-formed map with dart ids 1..n for each n <= max_darts.
 
     Well-formed maps are considered up to dart relabeling and up to the
     order link constructors appear in, so one canonical id scheme and
     one construction order per link structure cover all behaviors the
-    observers can distinguish.
+    observers can distinguish: on ``n`` darts, the inserts of 1..n, the
+    0-links of one link system and the 1-links of one.
     """
-    for m, _ in _maps(max_darts):
-        yield m
+    for n in range(max_darts + 1):
+        base, systems = _systems(n)
+        for s0 in systems:
+            m0 = _linked(base, _ZERO, s0)
+            for s1 in systems:
+                yield _linked(m0, _ONE, s1)
+
+
+def _pairs(max_darts: int) -> Iterator[list[FreeMap]]:
+    """The maps of :func:`enumerate_maps`, in groups of one 0-link system
+    and one 1-closure, not in its order.
+
+    The first map of a group keeps (``_keep_trackers``) the 0-tracker of
+    the checked replay of its inserts and 0-links and the 1-tracker of
+    that of its inserts and 1-links.  A dimension's link rule reads only
+    that dimension's chains and the dart set, which every replay here
+    shares, so the whole term replays cleanly and its trackers equal
+    this pair.  On ``n`` darts ``s`` systems take ``2 * s`` replays, one
+    per system and dimension, and make ``s * n!`` groups, one per
+    0-system and permutation of the darts.  The maps of a group share
+    their darts, faces, components and ``double_links``: all that the
+    ring search and ``check_ring`` read.
+    """
+    for n in range(max_darts + 1):
+        base, systems = _systems(n)
+        by_closure: dict[tuple, tuple[ChainTracker, list]] = {}
+        for s1 in systems:
+            one = ChainKernel(_linked(base, _ONE, s1)).chains[1]
+            key = tuple(sorted(one.closed_succ.items()))
+            by_closure.setdefault(key, (one, []))[1].append(s1)
+        for s0 in systems:
+            m0 = _linked(base, _ZERO, s0)
+            zero = ChainKernel(m0).chains[0]
+            for one, group in by_closure.values():
+                maps = [_linked(m0, _ONE, s1) for s1 in group]
+                _keep_trackers(maps[0], (zero, one))
+                yield maps
 
 
 @dataclass(slots=True)
@@ -577,12 +592,10 @@ def exhaustive_jordan(max_darts: int, max_ring_len: int) -> ExhaustiveReport:
     Maps of at most 5 darts hold rings of 1 and 2 items only, so there a
     cap of 3 or more never binds.
 
-    The maps of one 0-tracker and one 1-closure have one index but for
-    the term: the same darts, faces and components, and the same
-    ``double_links``, the one table the ring search and ``check_ring``
-    read.  So the first map of each such pair is indexed, on the
-    trackers ``_maps`` gives it, and its rings are searched and checked
-    once; every map of the pair, the first included, is credited with
+    The maps of one 0-link system and one 1-closure have one index but
+    for the term, so ``_pairs`` gives them as a group: the first map is
+    indexed, on the trackers it keeps, and if it is planar its rings are
+    searched and checked once.  Every map of the group is credited with
     those rings and recounts each valid one on its own term, as in
     ``jordan_check``: no broken term is built.
     """
@@ -592,36 +605,22 @@ def exhaustive_jordan(max_darts: int, max_ring_len: int) -> ExhaustiveReport:
         raise ConstraintError(f"ring length {max_ring_len} is below 1")
     report = ExhaustiveReport()
     by_length = report.rings_by_length
-    closures: dict[ChainTracker, tuple] = {}  # each 1-tracker's closure, as a key
-    # per 1-closure in the block of one 0-tracker: the component count and
-    # each ring's (length, validity, 0-darts), or None on a map not planar
-    pairs: dict[tuple, tuple[int, list[tuple[int, bool, set[Dart]]] | None]] = {}
-    zero: ChainTracker | None = None
-    for m, chains in _maps(max_darts):
-        report.maps_seen += 1
-        if chains[0] is not zero:
-            zero = chains[0]
-            pairs.clear()
-        alpha1 = closures.get(chains[1])
-        if alpha1 is None:
-            alpha1 = closures[chains[1]] = tuple(sorted(chains[1].closed_succ.items()))
-        pair = pairs.get(alpha1)
-        if pair is None:
-            idx = HypermapIndex(m, chains=chains)
-            rings = None
-            if idx.stats.planar:
-                rings = [(len(ring), check_ring(idx, ring).valid, {it.x for it in ring})
-                         for ring in candidate_rings(idx, max_ring_len)]
-            pair = pairs[alpha1] = (idx.stats.n_components, rings)
-        nc_before, rings = pair
-        if rings is None:
+    for maps in _pairs(max_darts):
+        n_maps = len(maps)
+        report.maps_seen += n_maps
+        idx = HypermapIndex(maps[0])
+        if not idx.stats.planar:
             continue
-        report.planar_maps += 1
-        for n, valid, darts in rings:
-            report.rings_checked += 1
-            by_length[n] = by_length.get(n, 0) + 1
-            if not valid:
-                report.ring_soundness_failures += 1
-            elif count_components(m, darts) != nc_before + 1:
-                report.delta_failures += 1
+        report.planar_maps += n_maps
+        after = idx.stats.n_components + 1
+        for ring in candidate_rings(idx, max_ring_len):
+            report.rings_checked += n_maps
+            by_length[len(ring)] = by_length.get(len(ring), 0) + n_maps
+            if not check_ring(idx, ring).valid:
+                report.ring_soundness_failures += n_maps
+                continue
+            darts = {it.x for it in ring}
+            for m in maps:
+                if count_components(m, darts) != after:
+                    report.delta_failures += 1
     return report

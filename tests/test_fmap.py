@@ -46,7 +46,7 @@ from hmap import (
     unlink_back,
     well_formed_violation,
 )
-from hmap.fmap import ChainKernel, history
+from hmap.fmap import ChainKernel, FreeMap, history
 from hmap.io import parse_map, serialize_map
 from hmap.jordan import enumerate_maps, random_planar_map
 
@@ -115,6 +115,19 @@ class TestTermIdentity:
         # differs only in its innermost link, ~20,000 steps down
         first = next(n for n in history(m) if isinstance(n, Link))
         assert break_link_back(m, first.k, first.y) != m
+
+    @pytest.mark.parametrize("make", [FreeMap, lambda: Insert(FreeMap(), 1)],
+                             ids=["FreeMap", "Insert"])
+    def test_non_terms_compare_hash_and_print_without_recursing(self, make):
+        # a chain that ends in a bare FreeMap is no term: it equals only
+        # itself, and history refuses it
+        m = make()
+        assert m == m and not m != m
+        assert m != make() and m != Void() and Void() != m
+        assert hash(m) == hash(m)
+        assert repr(m) == ("FreeMap()" if type(m) is FreeMap else "Insert(base=FreeMap(), x=1)")
+        with pytest.raises(TypeError, match=r"^not a map term: FreeMap\(\)$"):
+            history(m)
 
     @pytest.mark.parametrize("clone", [
         lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy, copy.copy],
@@ -516,6 +529,11 @@ class TestDestructors:
         m = make_map([1])
         with pytest.warns(UserWarning, match="no incoming"):
             assert unlink_back(m, d1, 1) == m
+
+    @pytest.mark.parametrize("unlinker", [unlink, unlink_back])
+    def test_unlink_refuses_a_bad_dimension(self, unlinker, two_dart_edge):
+        with pytest.raises(TypeError, match=r"^not a dimension: 5$"):
+            unlinker(two_dart_edge, 5, 1)
 
     def test_unlink_silent_when_present(self, two_dart_edge):
         with warnings.catch_warnings():

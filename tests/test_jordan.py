@@ -45,7 +45,7 @@ from hmap import (
 )
 from hmap import jordan
 from hmap.cli import run_cli
-from hmap.fmap import LINK_REFUSALS, ChainKernel, kernel_of
+from hmap.fmap import LINK_REFUSALS, ChainKernel
 from hmap.index import HypermapIndex, _lazy_view, count_components
 
 from conftest import build_digon, grid_map, vertex_chains
@@ -526,19 +526,25 @@ class TestEnumeration:
 
 class TestSweepIndexes:
     """The sweep's indexes adopt the 0-tracker and the 1-tracker of two
-    one-dimension replays; each must equal the index of one replay of
-    its whole term, on every slot and every view built on first read."""
+    one-dimension replays, kept on the first map of each group; each
+    must equal the index of one replay of its whole term, on every slot
+    and every view built on first read."""
 
     SLOTS = tuple(name for name in HypermapIndex.__slots__ if name != "__dict__") + tuple(
         name for name, attr in vars(HypermapIndex).items() if isinstance(attr, _lazy_view))
 
     def test_sweep_index_equals_build_index(self):
         assert {"stats", "edge_ids", "vertex_ids", "double_links"} <= set(self.SLOTS)
-        terms = []
-        for m, chains in jordan._maps(4):
-            swept = HypermapIndex(m, chains=chains)
-            built = build_index(m)
-            assert swept.chains is chains
+        terms, groups = [], 0
+        for maps in jordan._pairs(4):
+            groups += 1
+            m, *rest = maps
+            chains = m._trackers
+            assert chains is not None, m
+            assert all(getattr(t, "_trackers", None) is None for t in rest), m
+            swept = HypermapIndex(m)
+            built = build_index(copy.copy(m))
+            assert swept.chains is chains and m._trackers is None
             for slot in self.SLOTS:
                 assert getattr(swept, slot) == getattr(built, slot), (m, slot)
             assert swept.dart_set == built.dart_set
@@ -549,8 +555,9 @@ class TestSweepIndexes:
                 for z in built.darts:
                     assert swept.top(k, z) == built.top(k, z), (m, k, z)
                     assert swept.bottom(k, z) == built.bottom(k, z), (m, k, z)
-            terms.append(m)
-        assert terms == list(enumerate_maps(4)) and len(terms) == 5509
+            terms += maps
+        assert Counter(terms) == Counter(enumerate_maps(4))
+        assert (len(terms), groups) == (5509, 1838)
 
     def test_sweep_searches_indexes_equal_to_build_index(self, monkeypatch):
         # the sweep's own path: each index its ring search gets must equal
@@ -649,8 +656,7 @@ class TestHandedOnIndexes:
             m = make(*args)
             handed = build_index(m)
             assert replays == [], (make.__name__, args)
-            self._assert_equal(handed, HypermapIndex(m, chains=kernel_of(m).chains),
-                               (make.__name__, args))
+            self._assert_equal(handed, HypermapIndex(copy.copy(m)), (make.__name__, args))
             replays.clear()
 
     def test_every_generated_term_skips_its_first_replay(self, replays):
@@ -676,6 +682,12 @@ class TestHandedOnIndexes:
             assert len(replays) == 1 and replays[0] is term, term
             replays.clear()
         assert derived[:2] == [m, m]
+
+    def test_the_sweep_replays_once_per_link_system_and_dimension(self, replays):
+        # the maps of a group share the two trackers its first map keeps,
+        # so only the 2 * s one-dimension replays on n >= 1 darts remain
+        assert exhaustive_jordan(4, 3).passed
+        assert len(replays) == 2 * (1 + 3 + 13 + 73) == 180
 
     def test_the_slot_goes_with_its_term(self):
         m = random_planar_map(1, 30, 40)

@@ -10,8 +10,8 @@ replay checks its term, so none has a ``check`` parameter either.
 
 Every kernel's state is made in ``fmap``, by ``ChainKernel``'s
 constructor or by ``_adopt``, which hands an index the trackers of such
-constructions (for the exhaustive sweep, of two one-dimension replays):
-no other module assigns a kernel's ``dart_set`` or ``chains``.
+constructions kept on its term, or else replays it: no other module
+assigns a kernel's ``dart_set`` or ``chains``.
 
 Which edge a double-link lies on and which two faces it borders is
 worked out in the index alone, in its ``double_links``: outside
@@ -25,7 +25,10 @@ The generators reach ``random.Random`` through its public methods only.
 
 A generator keeps its trackers on the term it returns, in the term's own
 ``_trackers`` slot, which only ``fmap`` names: no module-level state is
-rebound (no ``global`` statement) and nothing is weakly referenced.
+rebound (no ``global`` statement) and nothing is weakly referenced.  The
+slot is the one way to hand trackers to an index: only ``fmap`` takes
+them off a term (``_take_trackers``), and an index is built from its
+term alone.
 """
 
 import ast
@@ -154,6 +157,24 @@ def _names_the_tracker_slot(path: Path) -> bool:
     return any(isinstance(node, ast.Attribute) and node.attr == "_trackers"
                or isinstance(node, ast.Constant) and node.value == "_trackers"
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def _names(path: Path, name: str) -> bool:
+    """``name`` is imported, read or defined in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and name in (node.name, node.asname)
+                or isinstance(node, ast.FunctionDef) and node.name == name):
+            return True
+    return False
+
+
+def test_only_fmap_takes_trackers_and_an_index_takes_only_its_term():
+    from hmap.index import HypermapIndex
+    modules = sorted(SRC.glob("*.py"))
+    assert [p.name for p in modules if _names(p, "_take_trackers")] == ["fmap.py"]
+    assert list(inspect.signature(HypermapIndex).parameters) == ["m"]
 
 
 def test_only_fmap_writes_the_tracker_slot_and_no_module_state_is_rebound():
