@@ -153,19 +153,14 @@ def test_generators_use_public_random_api_only():
     assert {name: reads for name, reads in offenders.items() if reads} == {}
 
 
-def _names_the_tracker_slot(path: Path) -> bool:
-    return any(isinstance(node, ast.Attribute) and node.attr == "_trackers"
-               or isinstance(node, ast.Constant) and node.value == "_trackers"
-               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
-
-
 def _names(path: Path, name: str) -> bool:
-    """``name`` is imported, read or defined in ``path``."""
+    """``name`` is imported, read, defined or spelt as a string in ``path``."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if (isinstance(node, ast.Name) and node.id == name
                 or isinstance(node, ast.Attribute) and node.attr == name
                 or isinstance(node, ast.alias) and name in (node.name, node.asname)
-                or isinstance(node, ast.FunctionDef) and node.name == name):
+                or isinstance(node, ast.FunctionDef) and node.name == name
+                or isinstance(node, ast.Constant) and node.value == name):
             return True
     return False
 
@@ -179,7 +174,7 @@ def test_only_fmap_takes_trackers_and_an_index_takes_only_its_term():
 
 def test_only_fmap_writes_the_tracker_slot_and_no_module_state_is_rebound():
     modules = sorted(SRC.glob("*.py"))
-    assert [p.name for p in modules if _names_the_tracker_slot(p)] == ["fmap.py"]
+    assert [p.name for p in modules if _names(p, "_trackers")] == ["fmap.py"]
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             assert not isinstance(node, ast.Global), (path.name, node.lineno)
