@@ -9,7 +9,7 @@ labelled once, so it answers all further queries in O(1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Collection
+from typing import Any, Callable, Collection, Iterable
 
 from .fmap import (
     _ZERO,
@@ -21,7 +21,7 @@ from .fmap import (
     FreeMap,
     Insert,
     InternalInvariantError,
-    Void,
+    Link,
     _dim,
     kernel_of,
 )
@@ -244,15 +244,35 @@ def count_components(m: FreeMap, broken: Collection[Dart] = ()) -> int:
     equals ``count_components(break_ring(m, ring))``, and no broken term
     is built.  It does not check the term, so ``m`` must be well formed.
     """
-    parent: dict[Dart, Dart] = {}
-    n = 0
-    while not isinstance(m, Void):
-        if isinstance(m, Insert):
-            n += 1
-        elif not (m.x in broken and m.k is _ZERO) and _union(parent, m.x, m.y):
-            n -= 1
-        m = m.base
-    return n
+    return _recount(m, (), broken)[0]
+
+
+def _recount(base: FreeMap, maps: Iterable[FreeMap], broken: Collection[Dart]) -> list[int]:
+    """``count_components(t, broken)`` for ``t`` the term ``base`` and then
+    each term of ``maps``, which all hold ``base`` as a subterm.
+
+    This is the one walk of the count.  ``base`` is walked once, down to
+    its bottom, into a forest; each map then walks only its own steps
+    above ``base``, into a copy of that forest, and starts from the
+    count of ``base``."""
+    below: dict[Dart, Dart] = {}
+    counts: list[int] = []
+    for m in (base, *maps):
+        if counts:
+            parent, stop, n = below.copy(), base, counts[0]
+        else:
+            parent, stop, n = below, None, 0
+        while m is not stop:
+            if isinstance(m, Link):
+                if not (m.x in broken and m.k is _ZERO) and _union(parent, m.x, m.y):
+                    n -= 1
+            elif isinstance(m, Insert):
+                n += 1
+            else:
+                break
+            m = m.base
+        counts.append(n)
+    return counts
 
 
 def ensure_index(m: FreeMap | HypermapIndex) -> HypermapIndex:

@@ -37,6 +37,7 @@ from .fmap import (
 )
 from .index import (
     HypermapIndex,
+    _recount,
     build_index,
     count_components,
     ensure_index,
@@ -530,13 +531,17 @@ def enumerate_maps(max_darts: int) -> Iterator[FreeMap]:
                 yield _linked(m0, _ONE, s1)
 
 
-def _pairs(max_darts: int) -> Iterator[list[FreeMap]]:
+def _pairs(max_darts: int) -> Iterator[tuple[FreeMap, FreeMap, list[list[tuple[Dart, Dart]]]]]:
     """The maps of :func:`enumerate_maps`, in groups of one 0-link system
     and one 1-closure, not in its order.
 
-    The first map of a group keeps (``_keep_trackers``) the 0-tracker of
-    the checked replay of its inserts and 0-links and the 1-tracker of
-    that of its inserts and 1-links.  A dimension's link rule reads only
+    A group is ``(m0, first, systems)``: its maps are
+    ``_linked(m0, _ONE, s1)`` for each ``s1`` of ``systems``, on the one
+    base ``m0`` of its inserts and 0-links, and ``first`` is the one of
+    ``systems[0]``; the others are left to the caller to build.
+    ``first`` keeps (``_keep_trackers``) the 0-tracker of the checked
+    replay of its inserts and 0-links and the 1-tracker of that of its
+    inserts and 1-links.  A dimension's link rule reads only
     that dimension's chains and the dart set, which every replay here
     shares, so the whole term replays cleanly and its trackers equal
     this pair.  On ``n`` darts ``s`` systems take ``2 * s`` replays, one
@@ -556,9 +561,8 @@ def _pairs(max_darts: int) -> Iterator[list[FreeMap]]:
             m0 = _linked(base, _ZERO, s0)
             zero = ChainKernel(m0).chains[0]
             for one, group in by_closure.values():
-                maps = [_linked(m0, _ONE, s1) for s1 in group]
-                _keep_trackers(maps[0], (zero, one))
-                yield maps
+                first = _keep_trackers(_linked(m0, _ONE, group[0]), (zero, one))
+                yield m0, first, group
 
 
 @dataclass(slots=True)
@@ -596,8 +600,12 @@ def exhaustive_jordan(max_darts: int, max_ring_len: int) -> ExhaustiveReport:
     for the term, so ``_pairs`` gives them as a group: the first map is
     indexed, on the trackers it keeps, and if it is planar its rings are
     searched and checked once.  Every map of the group is credited with
-    those rings and recounts each valid one on its own term, as in
-    ``jordan_check``: no broken term is built.
+    those rings and recounts each valid one on its own term, as
+    ``count_components`` would, and no broken term is built.  The maps
+    share their inserts and 0-links, the base of the group, so a recount
+    walks the base once without the ring's 0-links and then each map's
+    1-links above it (``_recount``).  The maps after the first are built
+    only for the first valid ring: a group with none builds one term.
     """
     if max_darts < 0:
         raise ConstraintError(f"dart count {max_darts} is negative")
@@ -605,22 +613,23 @@ def exhaustive_jordan(max_darts: int, max_ring_len: int) -> ExhaustiveReport:
         raise ConstraintError(f"ring length {max_ring_len} is below 1")
     report = ExhaustiveReport()
     by_length = report.rings_by_length
-    for maps in _pairs(max_darts):
-        n_maps = len(maps)
+    for m0, first, systems in _pairs(max_darts):
+        n_maps = len(systems)
         report.maps_seen += n_maps
-        idx = HypermapIndex(maps[0])
+        idx = HypermapIndex(first)
         if not idx.stats.planar:
             continue
         report.planar_maps += n_maps
         after = idx.stats.n_components + 1
+        maps = None
         for ring in candidate_rings(idx, max_ring_len):
             report.rings_checked += n_maps
             by_length[len(ring)] = by_length.get(len(ring), 0) + n_maps
             if not check_ring(idx, ring).valid:
                 report.ring_soundness_failures += n_maps
                 continue
-            darts = {it.x for it in ring}
-            for m in maps:
-                if count_components(m, darts) != after:
-                    report.delta_failures += 1
+            if maps is None:
+                maps = [first, *(_linked(m0, _ONE, s1) for s1 in systems[1:])]
+            counts = _recount(m0, maps, {it.x for it in ring})
+            report.delta_failures += n_maps - counts[1:].count(after)
     return report

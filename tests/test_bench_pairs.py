@@ -57,6 +57,39 @@ def test_verdict_unresolved_on_a_wide_parent_spread():
     assert _verdict(parent, [7.0, 7.5, 7.2, 7.1]) == "ok"
 
 
+PARENT = [20.0, 20.4, 19.6, 20.2, 19.8, 20.1, 19.9, 20.3, 19.7, 20.0]
+
+
+def test_verdict_gain_on_nine_wins_in_ten_and_a_gap_beyond_the_spread():
+    # higher is better; the change wins 9 pairs and loses the last, and
+    # its median is 20% above the parent's, whose quartiles span 0.5
+    change = [24.0, 24.5, 23.5, 24.2, 23.8, 24.1, 23.9, 24.3, 23.7, 19.0]
+    assert _verdict(PARENT, change, "higher", 0.15) == "gain"
+    # lower is better: the mirror image
+    assert _verdict(PARENT, [2 * 20.0 - c for c in change], "lower", 0.15) == "gain"
+
+
+def test_verdict_no_gain_on_eight_wins_in_ten():
+    # a tie counts for neither side, so 8 wins, 1 tie and 1 loss is no gain
+    change = [24.0, 24.5, 23.5, 24.2, 23.8, 24.1, 23.9, 24.3, 19.7, 19.0]
+    assert _verdict(PARENT, change, "higher", 0.15) == "ok"
+
+
+def test_verdict_no_gain_within_the_parent_spread():
+    # every pair won, but by less than the parent's interquartile spread
+    change = [c + 0.2 for c in PARENT]
+    assert _verdict(PARENT, change, "higher", 0.15) == "ok"
+    # a wide parent spread swallows a 10% gap too
+    wide = [16.0, 24.0, 17.0, 23.0, 18.0, 22.0, 19.0, 21.0, 15.0, 25.0]
+    assert _verdict(wide, [c * 1.1 for c in wide], "higher", 0.15) == "unresolved"
+
+
+def test_verdict_no_gain_on_fewer_than_ten_pairs():
+    change = [24.0, 24.5, 23.5, 24.2, 23.8, 24.1, 23.9, 24.3, 23.7]
+    assert _verdict(PARENT[:9], change, "higher", 0.15) == "ok"
+    assert _verdict(PARENT, change + [24.0], "higher", 0.15) == "gain"
+
+
 def _traced(builds, checks, ms):
     return {"result": {"metrics": {"index.builds": {"value": builds, "unit": "count"},
                                    "rings.checks": {"value": checks, "unit": "count"},

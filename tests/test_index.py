@@ -35,7 +35,7 @@ from hmap import (
 )
 from hmap import InternalInvariantError, fmap, index, jordan
 from hmap.fmap import history, kernel_of
-from hmap.index import HypermapIndex, count_components
+from hmap.index import HypermapIndex, _recount, count_components
 from hmap.jordan import enumerate_maps, random_map, random_planar_map
 
 from conftest import grid_map, same_component_structural
@@ -182,18 +182,19 @@ def test_count_components_matches_index_on_all_small_maps():
 
 def test_count_components_matches_index_on_every_ring_break_recount(monkeypatch):
     # each sweep recount walks the unbroken term without the ring's
-    # 0-links.  The dart sets recounted on a map must be those of its own
-    # rings, though the sweep searches the rings of a closure pair once,
-    # and each recount must count the components of the term break_ring
-    # builds
+    # 0-links, the base of its group once and each map above it.  The
+    # dart sets recounted on a map must be those of its own rings, though
+    # the sweep searches the rings of a closure pair once, and each
+    # recount must count the components of the term break_ring builds
     recounts: dict = {}
 
-    def checked(m, broken=()):
-        n = count_components(m, broken)
-        recounts.setdefault(m, Counter())[frozenset(broken), n] += 1
-        return n
+    def checked(base, maps, broken):
+        ns = _recount(base, maps, broken)
+        for m, n in zip(maps, ns[1:], strict=True):
+            recounts.setdefault(m, Counter())[frozenset(broken), n] += 1
+        return ns
 
-    monkeypatch.setattr(jordan, "count_components", checked)
+    monkeypatch.setattr(jordan, "_recount", checked)
     report = exhaustive_jordan(4, 3)
     assert report.passed
     rings = 0
@@ -206,6 +207,45 @@ def test_count_components_matches_index_on_every_ring_break_recount(monkeypatch)
             rings += 1
         assert recounts.pop(m, Counter()) == want, m
     assert not recounts and 0 < rings == report.rings_checked
+
+
+def test_shared_base_recount_matches_count_components_on_each_map():
+    # four darts with the 0-link 1 -> 2 below; above it, maps that add
+    # nothing, merge through 1-links in different ways, carry a 0-link a
+    # ring may break, or insert a dart.  Merging maps come first, so a
+    # forest of the base that one map's steps changed would miscount the
+    # next, and no two broken sets give every map one count
+    base = Link(Insert(Insert(Insert(Insert(Void(), 1), 2), 3), 4), d0, 1, 2)
+    maps = [
+        Link(Link(base, d1, 2, 3), d1, 3, 4),
+        Link(base, d1, 2, 3),
+        Link(base, d1, 1, 2),
+        base,
+        Link(base, d1, 3, 4),
+        Link(base, d0, 3, 4),
+        Link(Insert(base, 5), d1, 5, 3),
+        Insert(base, 5),
+    ]
+
+    def without(m, broken):
+        # the term rebuilt without the 0-links out of broken, and indexed
+        kept = Void()
+        for s in history(m):
+            if isinstance(s, Insert):
+                kept = Insert(kept, s.x)
+            elif not (s.k is d0 and s.x in broken):
+                kept = Link(kept, s.k, s.x, s.y)
+        return build_index(kept).stats.n_components
+
+    seen = set()
+    for broken in ((), {1}, {3}, {1, 3}, {2, 4}):
+        want = [count_components(m, broken) for m in maps]
+        assert want == [without(m, broken) for m in maps], broken
+        assert _recount(base, maps, broken) == [without(base, broken), *want], broken
+        seen.add(tuple(want))
+        assert len(set(want)) > 1, broken
+    assert len(seen) > 1
+    assert _recount(base, [], {1}) == [count_components(base, {1})] == [4]
 
 
 def test_count_components_leaves_out_only_0_links():

@@ -513,7 +513,7 @@ class TestEnumeration:
     def test_exhaustive_jordan_counts_injected_faults(self, monkeypatch):
         # each failure counter runs only when its check fails, so fail it
         rings = exhaustive_jordan(3, 3).rings_checked
-        monkeypatch.setattr(jordan, "count_components", lambda m, broken=(): -1)
+        monkeypatch.setattr(jordan, "_recount", lambda base, maps, broken: [-1] * (1 + len(maps)))
         rep = exhaustive_jordan(3, 3)
         assert (rep.delta_failures, rep.ring_soundness_failures) == (rings, 0)
         assert not rep.passed and "verdict=FAIL" in rep.summary()
@@ -536,12 +536,15 @@ class TestSweepIndexes:
     def test_sweep_index_equals_build_index(self):
         assert {"stats", "edge_ids", "vertex_ids", "double_links"} <= set(self.SLOTS)
         terms, groups = [], 0
-        for maps in jordan._pairs(4):
+        for m0, m, systems in jordan._pairs(4):
             groups += 1
-            m, *rest = maps
+            assert m == jordan._linked(m0, d1, systems[0])
+            below = m
+            for _ in systems[0]:
+                below = below.base
+            assert below is m0, m
             chains = m._trackers
             assert chains is not None, m
-            assert all(getattr(t, "_trackers", None) is None for t in rest), m
             swept = HypermapIndex(m)
             built = build_index(copy.copy(m))
             assert swept.chains is chains and m._trackers is None
@@ -555,9 +558,39 @@ class TestSweepIndexes:
                 for z in built.darts:
                     assert swept.top(k, z) == built.top(k, z), (m, k, z)
                     assert swept.bottom(k, z) == built.bottom(k, z), (m, k, z)
-            terms += maps
+            # the other maps of the group, built as the sweep builds them
+            terms += [m, *(jordan._linked(m0, d1, s1) for s1 in systems[1:])]
         assert Counter(terms) == Counter(enumerate_maps(4))
         assert (len(terms), groups) == (5509, 1838)
+
+    def test_sweep_builds_the_other_maps_of_ring_bearing_groups_only(self, monkeypatch):
+        # every group builds its first map; the 890 groups that hold a
+        # valid ring build their 1,332 other maps too, for the recount,
+        # and the 948 that hold none build no other map.  Besides those,
+        # _pairs builds one 1-term per link system, 1 + 1 + 3 + 13 + 73,
+        # to key the systems by their closure
+        built = Counter()
+        linked = jordan._linked
+
+        def counted(m, k, links):
+            built[k] += 1
+            return linked(m, k, links)
+
+        recounted = {}  # each group's list of maps, held so that ids stay unique
+        recount = jordan._recount
+
+        def grouped(base, maps, broken):
+            recounted[id(maps)] = maps
+            return recount(base, maps, broken)
+
+        monkeypatch.setattr(jordan, "_linked", counted)
+        monkeypatch.setattr(jordan, "_recount", grouped)
+        report = exhaustive_jordan(4, 3)
+        assert report.summary() == (
+            "maps=5509 planar=4171 rings=5584 delta_failures=0 "
+            "soundness_failures=0 verdict=pass")
+        assert (len(recounted), sum(map(len, recounted.values()))) == (890, 2222)
+        assert built[d1] - 91 == 1838 + 2222 - 890 == 3170
 
     def test_sweep_searches_indexes_equal_to_build_index(self, monkeypatch):
         # the sweep's own path: each index its ring search gets must equal

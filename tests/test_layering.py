@@ -135,10 +135,12 @@ def _calls_in(path: Path, function: str) -> set[str]:
 
 
 def test_law_checks_build_no_broken_term():
-    for function in ("jordan_check", "exhaustive_jordan"):
+    for function, count in (("jordan_check", "count_components"),
+                            ("exhaustive_jordan", "_recount")):
         calls = _calls_in(SRC / "jordan.py", function)
-        assert "count_components" in calls, function
+        assert count in calls, function
         assert "break_ring" not in calls, function
+    assert _calls_in(SRC / "index.py", "count_components") == {"_recount"}
     assert "break_ring" in _calls_in(SRC / "jordan.py", "tail_is_ring_after_first_break")
 
 

@@ -18,7 +18,10 @@ the repository: ``runs`` holds every run with the last JSON line it
 printed as ``result``, and ``trace_<workload>`` one traced run per side.
 The file is rewritten after every run, so an interrupted session keeps
 the pairs it finished.  A table of medians, quartiles, pairs won and a
-verdict on each metric's ``bound`` goes to standard output at the end.
+verdict on each metric goes to standard output at the end: ``gain``
+when the change wins nine pairs in ten, ties counting for neither, and
+its median moves by more than the parent's interquartile spread, else a
+verdict on the metric's ``bound``.
 """
 
 from __future__ import annotations
@@ -67,15 +70,23 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def _verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
-    """``worse than bound`` when the change's median is worse than the
-    parent's by more than ``bound``, a fraction of the parent's median;
-    else ``unresolved`` when the parent's interquartile spread exceeds
-    that fraction and not every change run beats every parent run; else
-    ``ok``."""
+def _verdict(parent: list[float], change: list[float], wins: int, lower: bool,
+             bound: float) -> str:
+    """The verdict on the runs of ``len(parent)`` pairs, of which the
+    change won ``wins``: ``worse than bound`` when the change's median is
+    worse than the parent's by more than ``bound``, a fraction of the
+    parent's median; else ``gain`` when there are at least ``PAIRS``
+    pairs, the change won at least nine tenths of them and its median is
+    better than the parent's by more than the parent's interquartile
+    spread; else ``unresolved`` when that spread exceeds ``bound`` of the
+    parent's median and not every change run beats every parent run;
+    else ``ok``."""
     (pq1, pm, pq3), cm = _quartiles(parent), statistics.median(change)
-    if (cm - pm if lower else pm - cm) > bound * pm:
+    gap = pm - cm if lower else cm - pm
+    if -gap > bound * pm:
         return "worse than bound"
+    if len(parent) >= PAIRS and 10 * wins >= 9 * len(parent) and gap > pq3 - pq1:
+        return "gain"
     beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
     if pq3 - pq1 > bound * pm and not beats_all:
         return "unresolved"
@@ -85,7 +96,7 @@ def _verdict(parent: list[float], change: list[float], lower: bool, bound: float
 def summary(record: dict, bench: dict) -> list[str]:
     """One line per workload and end-to-end metric: each side's median
     and quartiles, the change of the median, the pairs the change won and
-    the verdict on the metric's bound; then per workload the failed ops
+    the verdict (``_verdict``); then per workload the failed ops
     and the incorrect runs of each side; then one line per per-layer
     count metric whose value differs between the two sides of the
     workload's traced run (``trace_<workload>``)."""
@@ -108,7 +119,7 @@ def summary(record: dict, bench: dict) -> list[str]:
                 f"{w:9s} {name:11s} parent {pm:.4g} [{pq1:.4g}, {pq3:.4g}]  "
                 f"change {cm:.4g} [{cq1:.4g}, {cq3:.4g}]  "
                 f"{(cm - pm) / pm:+.1%}  won {wins}/{len(full)}  "
-                f"{_verdict(vals['parent'], vals['change'], sign == 'lower', bound)}")
+                f"{_verdict(vals['parent'], vals['change'], wins, sign == 'lower', bound)}")
         failed = {s: sum(p[s]["failed"] for p in full) for s in SIDES}
         attempted = {s: sum(p[s]["attempted"] for p in full) for s in SIDES}
         lines.append(f"{w:9s} failed      parent {failed['parent']}/{attempted['parent']}  "
